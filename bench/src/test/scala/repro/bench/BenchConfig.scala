@@ -1,35 +1,18 @@
 package repro.bench
 
 import repro.data.NetworkGen
+import repro.harness.Defaults
 
-/** Scale factors and caps shared by all benchmark suites.
-  *
-  * Chosen so that each synthetic network is O(50–100K) interactions — big
-  * enough to exhibit the paper's class skew and pattern-count blowups,
-  * small enough that the dense-simplex LP baseline (the slow baseline the
-  * paper also had to cap, at 10K interactions) finishes in minutes.
-  * Override with -DbenchSf.<name>=… for larger runs.
+/** Scale factors and caps shared by all benchmark suites: the program's
+  * [[Defaults]], overridable with -DbenchSf.<name>=… and
+  * -DbenchMaxInteractions=… for larger runs.
   */
 object BenchConfig {
-  private def sfOf(name: String, default: Double): Double =
-    sys.props.get(s"benchSf.$name").map(_.toDouble).getOrElse(default)
+  def sfFor(dataset: String): Double =
+    sys.props.get(s"benchSf.$dataset").map(_.toDouble).getOrElse(Defaults.sf(dataset))
 
-  val bitcoinSf: Double = sfOf("bitcoin", 0.002)
-  val ctuSf: Double     = sfOf("ctu13", 0.02)
-  val prosperSf: Double = sfOf("prosper", 0.01)
+  val maxInteractions: Int =
+    sys.props.get("benchMaxInteractions").map(_.toInt).getOrElse(Defaults.maxInteractions)
 
-  /** Subgraph interaction cap (paper: 10K; DESIGN.md §3 for why lower). */
-  val maxInteractions: Int = sys.props.get("benchMaxInteractions").map(_.toInt).getOrElse(1500)
-
-  val all: Seq[(NetworkGen.NetSpec, Double)] = Seq(
-    NetworkGen.bitcoinLike -> bitcoinSf,
-    NetworkGen.ctuLike     -> ctuSf,
-    NetworkGen.prosperLike -> prosperSf,
-  )
-
-  def sfFor(dataset: String): Double = dataset match {
-    case "bitcoin" => bitcoinSf
-    case "ctu13"   => ctuSf
-    case "prosper" => prosperSf
-  }
+  val all: Seq[(NetworkGen.NetSpec, Double)] = NetworkGen.all.map(spec => spec -> sfFor(spec.name))
 }

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.data.NetworkGen
-import repro.harness.Timing
+import repro.harness.{Defaults, Timing}
 
 /** spark-submit entrypoint reproducing Table 4 (dataset characteristics) for
   * the three synthetic stand-in networks.
@@ -14,7 +14,7 @@ object DatasetStats {
     val spark = SparkSession.builder.appName("repro-dataset-stats").getOrCreate()
     val sfs = args.toSeq match {
       case Seq(a, b, c) => Map("bitcoin" -> a.toDouble, "ctu13" -> b.toDouble, "prosper" -> c.toDouble)
-      case _            => Map("bitcoin" -> 0.002, "ctu13" -> 0.02, "prosper" -> 0.02)
+      case _            => Defaults.sf
     }
     val rows = NetworkGen.all.map { spec =>
       val df = NetworkGen.generate(spark, spec, sfs(spec.name))

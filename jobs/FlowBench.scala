@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.FlowExperiment
+import repro.harness.{Defaults, FlowExperiment}
 
 /** spark-submit entrypoint reproducing Tables 5–8 (and the Figure 11 bucket
   * breakdown) for one dataset.
@@ -11,18 +11,11 @@ import repro.harness.FlowExperiment
 object FlowBench {
   def main(args: Array[String]): Unit = {
     val dataset = args.headOption.getOrElse("bitcoin")
-    val sf      = args.lift(1).map(_.toDouble).getOrElse(defaultSf(dataset))
-    val cap     = args.lift(2).map(_.toInt).getOrElse(2000)
+    val sf      = args.lift(1).map(_.toDouble).getOrElse(Defaults.sf(dataset))
+    val cap     = args.lift(2).map(_.toInt).getOrElse(Defaults.maxInteractions)
     val spark   = SparkSession.builder.appName(s"repro-flow-bench-$dataset").getOrCreate()
     val report  = FlowExperiment.run(spark, FlowExperiment.Config(dataset, sf, cap))
     println(report.render)
     spark.stop()
-  }
-
-  def defaultSf(dataset: String): Double = dataset match {
-    case "bitcoin" => 0.002
-    case "ctu13"   => 0.02
-    case "prosper" => 0.02
-    case other     => sys.error(s"unknown dataset $other")
   }
 }

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.PatternExperiment
+import repro.harness.{Defaults, PatternExperiment}
 
 /** spark-submit entrypoint reproducing Tables 9–11 (pattern search, GB vs
   * PB) for one dataset.
@@ -11,7 +11,7 @@ import repro.harness.PatternExperiment
 object PatternBench {
   def main(args: Array[String]): Unit = {
     val dataset = args.headOption.getOrElse("bitcoin")
-    val sf      = args.lift(1).map(_.toDouble).getOrElse(FlowBench.defaultSf(dataset))
+    val sf      = args.lift(1).map(_.toDouble).getOrElse(Defaults.sf(dataset))
     val spark   = SparkSession.builder.appName(s"repro-pattern-bench-$dataset").getOrCreate()
     val report  = PatternExperiment.run(spark, PatternExperiment.Config(dataset, sf))
     println(report.render)

@@ -37,14 +37,6 @@ object FlowPipeline {
 
   def preSim(g: FlowGraph): Outcome = preImpl(g, simplify = true)
 
-  /** Classify without computing the flow (drives the per-class table rows). */
-  def classify(g: FlowGraph): SubgraphClass =
-    if (Solubility.solvableByGreedy(g)) ClassA
-    else {
-      val p = Preprocess.run(g)
-      if (p.zeroFlow || Solubility.solvableByGreedy(p.graph)) ClassB else ClassC
-    }
-
   private def preImpl(g: FlowGraph, simplify: Boolean): Outcome = {
     if (Solubility.solvableByGreedy(g)) Outcome(Greedy.flow(g), ClassA, usedLP = false)
     else {

@@ -1,0 +1,37 @@
+package repro.data
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+
+/** The network's ≤3-hop paths through pairwise-distinct vertices, as
+  * self-joins of an edge DataFrame with `src`/`dst` columns — the one
+  * definition behind Section 6.2's seed cycles and Section 5.2's L2/L3/C2
+  * path tables.
+  *
+  * Every result is the join itself: the k-th edge of a path stays aliased
+  * `ek` (`e1.src` is the path's first vertex), so the caller selects
+  * whichever payload its edge DataFrame carries. A self-loop `a→a` never
+  * takes part: the paper's paths "pass through other vertices".
+  */
+object CyclePaths {
+
+  /** 2-hop cycles `a→b→a`, `a≠b`. */
+  def cycles2(e: DataFrame): DataFrame =
+    e.as("e1")
+      .join(e.as("e2"), col("e1.dst") === col("e2.src") && col("e2.dst") === col("e1.src"))
+      .where(col("e1.src") =!= col("e1.dst"))
+
+  /** 3-hop cycles `a→b→c→a`, `a,b,c` pairwise distinct. */
+  def cycles3(e: DataFrame): DataFrame =
+    e.as("e1")
+      .join(e.as("e2"), col("e1.dst") === col("e2.src") && col("e2.dst") =!= col("e1.src"))
+      .join(e.as("e3"), col("e2.dst") === col("e3.src") && col("e3.dst") === col("e1.src"))
+      .where(col("e1.src") =!= col("e1.dst") && col("e2.dst") =!= col("e1.dst"))
+
+  /** 2-hop chains `a→b→c`, `a,b,c` pairwise distinct. */
+  def chains2(e: DataFrame): DataFrame =
+    e.as("e1")
+      .join(e.as("e2"), col("e1.dst") === col("e2.src")
+        && col("e2.dst") =!= col("e1.src") && col("e2.dst") =!= col("e1.dst"))
+      .where(col("e1.src") =!= col("e1.dst"))
+}

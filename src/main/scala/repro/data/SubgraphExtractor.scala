@@ -40,35 +40,16 @@ object SubgraphExtractor {
   def distinctEdges(net: DataFrame): DataFrame =
     net.select(col("src"), col("dst")).distinct()
 
-  /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct.
+  /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct:
+    * the edges `e1..ek` of each [[CyclePaths]] cycle, seeded at `e1.src`.
     */
   def cycleArcs(net: DataFrame): DataFrame = {
-    val spark = net.sparkSession
-    import spark.implicits._
     val e = distinctEdges(net).cache()
-
-    // 2-hop cycles a→b→a: arcs (a,b) and (b,a).
-    val c2 = e.as("e1")
-      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" === $"e1.src")
-      .select($"e1.src" as "a", $"e1.dst" as "b")
-    val c2arcs = c2.select($"a" as "seed", explode(array(
-      struct($"a" as "src", $"b" as "dst"),
-      struct($"b" as "src", $"a" as "dst"),
-    )) as "arc")
-
-    // 3-hop cycles a→b→c→a with a,b,c pairwise distinct.
-    val c3 = e.as("e1")
-      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" =!= $"e1.src")
-      .join(e.as("e3"), $"e2.dst" === $"e3.src" && $"e3.dst" === $"e1.src")
-      .select($"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c")
-      .where($"b" =!= $"a" && $"c" =!= $"a" && $"b" =!= $"c")
-    val c3arcs = c3.select($"a" as "seed", explode(array(
-      struct($"a" as "src", $"b" as "dst"),
-      struct($"b" as "src", $"c" as "dst"),
-      struct($"c" as "src", $"a" as "dst"),
-    )) as "arc")
-
-    c2arcs.union(c3arcs)
+    def arcs(cycles: DataFrame, k: Int): DataFrame =
+      cycles.select(col("e1.src") as "seed", explode(array((1 to k).map { i =>
+        struct(col(s"e$i.src") as "src", col(s"e$i.dst") as "dst")
+      }: _*)) as "arc")
+    arcs(CyclePaths.cycles2(e), 2).union(arcs(CyclePaths.cycles3(e), 3))
       .select(col("seed"), col("arc.src") as "src", col("arc.dst") as "dst")
       .distinct()
   }

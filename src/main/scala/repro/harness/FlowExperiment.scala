@@ -26,7 +26,7 @@ object FlowExperiment {
       sf: Double,
       /** Discard subgraphs with more interactions (paper used 10K; our dense
         * simplex substrate motivates a lower default, DESIGN.md §3). */
-      maxInteractions: Int = 2000,
+      maxInteractions: Int = Defaults.maxInteractions,
       /** Measure at most this many subgraphs (deterministic sample). The
         * paper timed all 48.7K Bitcoin subgraphs with a C implementation;
         * sampling keeps the per-subgraph averages while bounding bench

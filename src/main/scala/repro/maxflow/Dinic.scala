@@ -53,24 +53,37 @@ final class Dinic(n: Int) {
     level(t) >= 0
   }
 
-  private def dfs(u: Int, t: Int, f: Double): Double = {
-    if (u == t) f
-    else {
-      var res = 0.0
-      while (res == 0.0 && iter(u) < head(u).size) {
+  /** Edges of the current DFS path, source first. */
+  private val path = new Array[Int](n)
+
+  /** Pushes flow along the first s-t path of the level graph that the `iter`
+    * pointers lead to and returns it, or 0 when none is left. Iterative, since
+    * a path can be as long as the sink's level: one node per version of a
+    * vertex in a time-expanded graph.
+    */
+  private def dfs(s: Int, t: Int): Double = {
+    var depth = 0
+    var u     = s
+    while (u != t) {
+      if (iter(u) < head(u).size) {
         val e = head(u)(iter(u))
-        val v = to(e)
-        if (cap(e) > Eps && level(v) == level(u) + 1) {
-          val d = dfs(v, t, math.min(f, cap(e)))
-          if (d > Eps) {
-            cap(e) -= d
-            cap(e ^ 1) += d
-            res = d
-          } else iter(u) += 1
+        if (cap(e) > Eps && level(to(e)) == level(u) + 1) {
+          path(depth) = e; depth += 1; u = to(e)
         } else iter(u) += 1
+      } else if (depth == 0) return 0.0
+      else {
+        // Dead end: retreat over the last edge and skip it at its tail.
+        depth -= 1
+        u = to(path(depth) ^ 1)
+        iter(u) += 1
       }
-      res
     }
+    var f = Double.PositiveInfinity
+    var i = 0
+    while (i < depth) { f = math.min(f, cap(path(i))); i += 1 }
+    i = 0
+    while (i < depth) { cap(path(i)) -= f; cap(path(i) ^ 1) += f; i += 1 }
+    f
   }
 
   /** Maximum s-t flow. May legitimately return `PositiveInfinity` when an
@@ -83,11 +96,11 @@ final class Dinic(n: Int) {
     var flow = 0.0
     while (bfs(s, t)) {
       java.util.Arrays.fill(iter, 0)
-      var f = dfs(s, t, Double.PositiveInfinity)
+      var f = dfs(s, t)
       while (f > Eps) {
         flow += f
         if (f.isInfinity) return Double.PositiveInfinity
-        f = dfs(s, t, Double.PositiveInfinity)
+        f = dfs(s, t)
       }
     }
     flow

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.core.Greedy
+import repro.data.CyclePaths
 
 /** Path precomputation (Section 5.2): tables of small path instances with
   * the interaction sequence that enters the buffer of the path's end vertex
@@ -52,48 +53,22 @@ object PathTables {
       .agg(sort_array(collect_list(struct(col("ts"), col("qty")))) as "es")
 
   /** 2-hop cycle table: `(a, b, flow, arrivals)`. */
-  def l2(net: DataFrame): DataFrame = {
-    val e = edgeInteractions(net)
-    e.as("e1")
-      .join(e.as("e2"), col("e1.dst") === col("e2.src") && col("e2.dst") === col("e1.src")
-        && col("e1.src") =!= col("e1.dst"))
-      .select(
-        col("e1.src") as "a",
-        col("e1.dst") as "b",
-        chain2(col("e1.es"), col("e2.es")) as "r",
-      )
+  def l2(net: DataFrame): DataFrame =
+    CyclePaths.cycles2(edgeInteractions(net))
+      .select(col("e1.src") as "a", col("e1.dst") as "b", chain2(col("e1.es"), col("e2.es")) as "r")
       .select(col("a"), col("b"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
-  }
 
   /** 3-hop cycle table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
-  def l3(net: DataFrame): DataFrame = {
-    val e = edgeInteractions(net)
-    e.as("e1")
-      .join(e.as("e2"), col("e1.dst") === col("e2.src") && col("e2.dst") =!= col("e1.src"))
-      .join(e.as("e3"), col("e2.dst") === col("e3.src") && col("e3.dst") === col("e1.src"))
-      .where(col("e1.src") =!= col("e1.dst") && col("e2.dst") =!= col("e1.dst"))
-      .select(
-        col("e1.src") as "a",
-        col("e1.dst") as "b",
-        col("e2.dst") as "c",
-        chain3(col("e1.es"), col("e2.es"), col("e3.es")) as "r",
-      )
+  def l3(net: DataFrame): DataFrame =
+    CyclePaths.cycles3(edgeInteractions(net))
+      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
+        chain3(col("e1.es"), col("e2.es"), col("e3.es")) as "r")
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
-  }
 
   /** 2-hop chain table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
-  def c2(net: DataFrame): DataFrame = {
-    val e = edgeInteractions(net)
-    e.as("e1")
-      .join(e.as("e2"), col("e1.dst") === col("e2.src")
-        && col("e2.dst") =!= col("e1.src") && col("e2.dst") =!= col("e1.dst"))
-      .where(col("e1.src") =!= col("e1.dst"))
-      .select(
-        col("e1.src") as "a",
-        col("e1.dst") as "b",
-        col("e2.dst") as "c",
-        chain2(col("e1.es"), col("e2.es")) as "r",
-      )
+  def c2(net: DataFrame): DataFrame =
+    CyclePaths.chains2(edgeInteractions(net))
+      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
+        chain2(col("e1.es"), col("e2.es")) as "r")
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
-  }
 }

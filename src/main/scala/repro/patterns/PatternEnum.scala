@@ -3,6 +3,7 @@ package repro.patterns
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.{FlowGraph, FlowPipeline}
+import repro.data.CyclePaths
 import repro.patterns.PathTables.TsQty
 
 /** Preprocessing-based pattern enumeration (PB, Section 5.2): instances are
@@ -66,12 +67,9 @@ object PatternEnum {
     val spark = net.sparkSession
     import spark.implicits._
     val e = PathTables.edgeInteractions(net)
-    val joined0 = e.as("e1")
-      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" =!= $"e1.src")
-      .join(e.as("e3"), $"e2.dst" === $"e3.src" && $"e3.dst" === $"e1.src")
+    val joined0 = CyclePaths.cycles3(e)
       .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
       .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")
-      .where($"e1.src" =!= $"e1.dst" && $"e2.dst" =!= $"e1.dst")
       .select(
         $"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",
         $"e1.es" as "e1", $"e2.es" as "e2", $"e3.es" as "e3", $"e4.es" as "e4", $"e5.es" as "e5",

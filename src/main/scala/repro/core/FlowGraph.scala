@@ -29,16 +29,17 @@ final class FlowGraph(
   lazy val vertices: Set[Int] =
     edges.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toSet + source + sink
 
-  /** Distinct out-neighbours per vertex. */
-  lazy val outNeighbors: Map[Int, Vector[Int]] =
-    edges.keysIterator.toVector.groupMap(_._1)(_._2).withDefaultValue(Vector.empty)
+  private lazy val out = FlowGraph.neighbours(edges.keys)
+  private lazy val in  = FlowGraph.neighbours(edges.keys.view.map(_.swap))
 
-  /** Distinct in-neighbours per vertex. */
-  lazy val inNeighbors: Map[Int, Vector[Int]] =
-    edges.keysIterator.toVector.groupMap(_._2)(_._1).withDefaultValue(Vector.empty)
+  /** Distinct out-neighbours of `v`, ascending. */
+  def outNeighbors(v: Int): Array[Int] = out.getOrElse(v, Array.emptyIntArray)
 
-  def outDegree(v: Int): Int = outNeighbors(v).size
-  def inDegree(v: Int): Int  = inNeighbors(v).size
+  /** Distinct in-neighbours of `v`, ascending. */
+  def inNeighbors(v: Int): Array[Int] = in.getOrElse(v, Array.emptyIntArray)
+
+  def outDegree(v: Int): Int = outNeighbors(v).length
+  def inDegree(v: Int): Int  = inNeighbors(v).length
 
   def interactionCount: Int = edges.valuesIterator.map(_.size).sum
 
@@ -82,10 +83,6 @@ final class FlowGraph(
 
   def isDag: Boolean = topologicalOrder.isDefined
 
-  /** Copy with a different edge map (same source/sink). */
-  def withEdges(newEdges: Map[(Int, Int), Vector[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, newEdges)
-
   override def toString: String =
     s"FlowGraph(source=$source, sink=$sink, V=$vertexCount, E=$edgeCount, I=$interactionCount)"
 
@@ -98,17 +95,26 @@ final class FlowGraph(
 
 object FlowGraph {
 
+  /** Group interactions into per-edge sequences `(src, dst) → e_S`, sorted by
+    * timestamp (stable on ties). The one grouping behind every in-memory
+    * graph: `FlowGraph` and the graph-browsing `AdjacencyIndex`.
+    */
+  def groupEdges(inters: Seq[Interaction]): Map[(Int, Int), Vector[(Long, Double)]] =
+    inters.groupBy(i => (i.src, i.dst)).view
+      .mapValues(is => is.map(i => (i.ts, i.qty)).sortBy(_._1).toVector)
+      .toMap
+
+  /** Neighbour lists, ascending, of distinct `(from, to)` pairs: pass the edge
+    * keys for out-lists, the swapped keys for in-lists.
+    */
+  def neighbours(pairs: Iterable[(Int, Int)]): Map[Int, Array[Int]] =
+    pairs.groupMap(_._1)(_._2).view.mapValues(_.toArray.sorted).toMap
+
   /** Build from a flat interaction list; per-edge sequences are sorted by
     * timestamp (stable on ties).
     */
-  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph = {
-    val edges = inters
-      .groupBy(i => (i.src, i.dst))
-      .view
-      .mapValues(is => is.map(i => (i.ts, i.qty)).sortBy(_._1).toVector)
-      .toMap
-    new FlowGraph(source, sink, edges)
-  }
+  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph =
+    new FlowGraph(source, sink, groupEdges(inters))
 
   /** Build from an explicit edge map (sequences are re-sorted defensively). */
   def fromEdges(source: Int, sink: Int, edges: Map[(Int, Int), Seq[(Long, Double)]]): FlowGraph =
@@ -131,33 +137,5 @@ object FlowGraph {
     val srcEdges = sources.map(s => Interaction(syntheticSource, s, Long.MinValue, Double.PositiveInfinity))
     val snkEdges = sinks.map(t => Interaction(t, syntheticSink, Long.MaxValue, Double.PositiveInfinity))
     apply(syntheticSource, syntheticSink, srcEdges ++ inters ++ snkEdges)
-  }
-
-  /** Build the flow graph of a cycle-shaped subgraph whose source and sink
-    * coincide at `seed` (Section 6.2's extraction protocol): `seed` is split
-    * into `sourceId` (keeps seed's outgoing interactions) and `sinkId` (keeps
-    * its incoming ones).
-    */
-  def splitVertex(
-      seed: Int,
-      inters: Seq[Interaction],
-      sourceId: Int,
-      sinkId: Int,
-  ): FlowGraph = {
-    val remapped = inters.map { i =>
-      val s = if (i.src == seed) sourceId else i.src
-      val d = if (i.dst == seed) sinkId else i.dst
-      Interaction(s, d, i.ts, i.qty)
-    }
-    apply(sourceId, sinkId, remapped)
-  }
-
-  /** Remap timestamps to their rank in stable global order, making them
-    * strictly increasing. Preserves relative order; used to normalise inputs
-    * whose real timestamps contain ties (DESIGN.md §3).
-    */
-  def normalizeTimestamps(inters: Seq[Interaction]): Seq[Interaction] = {
-    val sorted = inters.sortBy(_.ts)
-    sorted.zipWithIndex.map { case (i, r) => i.copy(ts = r.toLong) }
   }
 }

@@ -4,25 +4,26 @@ import scala.collection.mutable
 
 /** Graph preprocessing (Section 4.2.3, Algorithm 1).
   *
-  * Walk the vertices in topological order; for each vertex `v` other than the
-  * source and sink, delete from `v`'s outgoing edges every interaction whose
-  * timestamp is smaller than the minimum timestamp over `v`'s surviving
-  * incoming interactions — by that time `v` cannot have received anything, so
-  * the interaction can never carry flow. Edge deletions cascade:
+  * A pass visits every vertex `v` other than the source and the sink:
   *
-  *   - a vertex left with no incoming edges (it can receive nothing) is
-  *     removed with its outgoing edges — handled when it is examined, since
-  *     it follows its deleted predecessors in topological order;
-  *   - a vertex left with no outgoing edges (it can forward nothing) is
-  *     removed with its incoming edges, recursively upwards, immediately —
-  *     its predecessors were already examined.
+  *   - if `v` has no incoming edge left, it can receive nothing, and its
+  *     outgoing edges are deleted;
+  *   - otherwise every interaction on `v`'s outgoing edges whose timestamp is
+  *     smaller than the minimum timestamp over `v`'s surviving incoming
+  *     interactions is deleted — by that time `v` cannot have received
+  *     anything, so the interaction can never carry flow. An edge left with
+  *     no interactions is deleted.
   *
-  * Cycle-seed subgraphs (Section 6.2) may contain directed cycles between
-  * intermediate vertices, where no topological order exists. For those we run
-  * the same timestamp rule as a fixpoint iteration followed by a
-  * reachability cleanup — every individual deletion is justified by the same
-  * argument, so safety is unchanged; only the single-pass guarantee is lost
-  * (documented extension, DESIGN.md §2).
+  * After each pass a reachability cleanup deletes every edge off all
+  * source→…→sink paths; this covers the paper's upward cascade (a vertex
+  * that can forward nothing) and proves zero flow when the sink becomes
+  * unreachable. Pass and cleanup repeat until neither deletes anything.
+  *
+  * Every deletion only raises the minimum incoming timestamps, so the result
+  * is the same in any vertex order. In topological order, as in the paper,
+  * the first pass does nearly all the work; cycle-seed subgraphs (Section
+  * 6.2) may contain directed cycles between intermediate vertices, and those
+  * use sorted vertex order (DESIGN.md §2).
   */
 object Preprocess {
 
@@ -37,137 +38,51 @@ object Preprocess {
   }
 
   def run(g: FlowGraph): Result = {
-    g.topologicalOrder match {
-      case Some(order) => runDag(g, order)
-      case None        => runFixpoint(g)
-    }
-  }
-
-  private final class MutGraph(g: FlowGraph) {
-    val edges: mutable.Map[(Int, Int), Vector[(Long, Double)]] = mutable.Map.from(g.edges)
-    val out: mutable.Map[Int, mutable.Set[Int]] = mutable.Map.empty
-    val in: mutable.Map[Int, mutable.Set[Int]]  = mutable.Map.empty
-    g.edges.keysIterator.foreach { case (a, b) =>
-      out.getOrElseUpdate(a, mutable.Set.empty) += b
-      in.getOrElseUpdate(b, mutable.Set.empty) += a
-    }
-    val alive: mutable.Set[Int] = mutable.Set.from(g.vertices)
-    var removedInteractions     = 0
-    var removedEdges            = 0
-    var removedVertices         = 0
-
-    def outOf(v: Int): Set[Int] = out.get(v).map(_.toSet).getOrElse(Set.empty)
-    def inOf(v: Int): Set[Int]  = in.get(v).map(_.toSet).getOrElse(Set.empty)
-
-    def deleteEdge(a: Int, b: Int): Unit =
-      edges.remove((a, b)).foreach { es =>
-        removedInteractions += es.size
-        removedEdges += 1
-        out.get(a).foreach(_ -= b)
-        in.get(b).foreach(_ -= a)
-      }
-
-    def deleteVertex(v: Int): Unit =
-      if (alive.remove(v)) {
-        removedVertices += 1
-        outOf(v).foreach(u => deleteEdge(v, u))
-        inOf(v).foreach(w => deleteEdge(w, v))
-      }
-
-    /** Delete `v` and cascade upwards through predecessors that lose their
-      * last outgoing edge (Algorithm 1, lines 18–22).
-      */
-    def deleteUpwards(v: Int, source: Int): Unit = {
-      val preds = inOf(v)
-      deleteVertex(v)
-      preds.foreach { w =>
-        if (w != source && alive(w) && outOf(w).isEmpty) deleteUpwards(w, source)
-      }
-    }
-
-    def minIncomingTs(v: Int): Option[Long] = {
-      val ts = inOf(v).iterator.flatMap(w => edges.get((w, v)).iterator.flatMap(_.iterator.map(_._1)))
-      if (ts.isEmpty) None else Some(ts.min)
-    }
-
-    /** Apply the timestamp rule at `v`; returns true if anything changed. */
-    def pruneAt(v: Int): Boolean = minIncomingTs(v) match {
-      case None => false
-      case Some(minTs) =>
-        var changed = false
-        outOf(v).foreach { u =>
-          val es   = edges((v, u))
-          val kept = es.filter { case (t, _) => t >= minTs }
-          if (kept.size != es.size) {
-            changed = true
-            removedInteractions += es.size - kept.size
-            edges((v, u)) = kept // update first so deleteEdge does not recount
-            if (kept.isEmpty) deleteEdge(v, u)
-          }
-        }
-        changed
-    }
-
-    def result(source: Int, sink: Int): Result = {
-      // If source or sink dropped out, the flow is 0: empty graph.
-      if (!alive(source) || !alive(sink) || edges.isEmpty)
-        Result(new FlowGraph(source, sink, Map.empty), removedInteractions, removedEdges, removedVertices)
-      else
-        Result(new FlowGraph(source, sink, edges.toMap), removedInteractions, removedEdges, removedVertices)
-    }
-  }
-
-  /** Algorithm 1: single pass in topological order. */
-  private def runDag(g: FlowGraph, order: Vector[Int]): Result = {
-    val m = new MutGraph(g)
-    order.foreach { v =>
-      if (v != g.source && v != g.sink && m.alive(v)) {
-        if (m.inOf(v).isEmpty) m.deleteVertex(v) // can never receive anything
-        else {
-          m.pruneAt(v)
-          if (m.outOf(v).isEmpty) m.deleteUpwards(v, g.source) // can never forward
-        }
-      }
-    }
-    // The sink may have lost all incoming edges (zero flow).
-    if (m.alive(g.sink) && m.inOf(g.sink).isEmpty) m.edges.clear()
-    cleanupReachability(m, g.source, g.sink)
-    m.result(g.source, g.sink)
-  }
-
-  /** Non-DAG fallback: iterate the same rule to fixpoint, then clean up. */
-  private def runFixpoint(g: FlowGraph): Result = {
-    val m       = new MutGraph(g)
+    // The only state: the surviving interactions of each surviving edge, read
+    // through `g`'s own neighbour lists (preprocessing only deletes).
+    val live  = mutable.Map.from(g.edges)
+    val order = g.topologicalOrder.getOrElse(g.vertices.toVector.sorted)
     var changed = true
     while (changed) {
       changed = false
-      m.alive.toVector.foreach { v =>
-        if (v != g.source && v != g.sink && m.alive(v)) {
-          if (m.pruneAt(v)) changed = true
+      order.foreach { v =>
+        if (v != g.source && v != g.sink) {
+          // None: no incoming edge is left, so every outgoing one goes.
+          val minTs = g.inNeighbors(v).iterator.flatMap(w => live.get((w, v)))
+            .flatMap(_.headOption).map(_._1).minOption
+          g.outNeighbors(v).foreach { u =>
+            live.get((v, u)).foreach { es =>
+              val kept = minTs.fold(Vector.empty[(Long, Double)])(m => es.dropWhile(_._1 < m))
+              if (kept.size != es.size) {
+                changed = true
+                if (kept.isEmpty) live.remove((v, u)) else live((v, u)) = kept
+              }
+            }
+          }
         }
       }
+      if (cleanupReachability(g, live)) changed = true
     }
-    cleanupReachability(m, g.source, g.sink)
-    m.result(g.source, g.sink)
+    val out = new FlowGraph(g.source, g.sink, live.toMap)
+    Result(out, g.interactionCount - out.interactionCount, g.edgeCount - out.edgeCount,
+      g.vertexCount - out.vertexCount)
   }
 
-  /** Keep only vertices on some source→…→sink path; everything else cannot
-    * carry flow and is removed (generalises the cascade deletions).
+  /** Keep only edges on some source→…→sink path, or none if the sink is
+    * unreachable (zero flow); returns true if anything was deleted.
     */
-  private def cleanupReachability(m: MutGraph, source: Int, sink: Int): Unit = {
-    def closure(start: Int, step: Int => Set[Int]): Set[Int] = {
+  private def cleanupReachability(g: FlowGraph, live: mutable.Map[(Int, Int), Vector[(Long, Double)]]): Boolean = {
+    def closure(start: Int, step: Int => Iterator[Int]): mutable.Set[Int] = {
       val seen  = mutable.Set(start)
       val stack = mutable.Stack(start)
-      while (stack.nonEmpty) {
-        step(stack.pop()).foreach(u => if (seen.add(u)) stack.push(u))
-      }
-      seen.toSet
+      while (stack.nonEmpty) step(stack.pop()).foreach(u => if (seen.add(u)) stack.push(u))
+      seen
     }
-    if (!m.alive(source) || !m.alive(sink)) { m.edges.clear(); return }
-    val fwd  = closure(source, m.outOf)
-    val bwd  = closure(sink, m.inOf)
-    val keep = fwd intersect bwd
-    if (!keep(sink) || !keep(source)) { m.edges.clear(); return }
-    m.alive.toVector.foreach(v => if (!keep(v)) m.deleteVertex(v))
+    val fwd = closure(g.source, v => g.outNeighbors(v).iterator.filter(u => live.contains((v, u))))
+    val bwd = closure(g.sink, v => g.inNeighbors(v).iterator.filter(w => live.contains((w, v))))
+    val before = live.size
+    if (!fwd(g.sink)) live.clear()
+    else live.filterInPlace { case ((a, b), _) => fwd(a) && bwd(a) && fwd(b) && bwd(b) }
+    live.size != before
   }
 }

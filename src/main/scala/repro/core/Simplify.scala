@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Graph simplification (Section 4.2.4, Algorithm 2, Lemma 3).
   *
   * Any chain `s -> v1 -> … -> vk` hanging off the source — every `vi`, `i<k`,
@@ -10,8 +8,13 @@ import scala.collection.mutable
   * running the greedy algorithm on the chain (reserving quantity at the
   * source or at chain-interior vertices can never increase the flow reaching
   * the sink, so greedy is exact there). If an edge `(s, vk)` already exists,
-  * the interaction sets are merged; merging may surface new reducible chains,
-  * so the reduction iterates to a fixpoint (Figure 7's example).
+  * the interaction sets are merged.
+  *
+  * Simplification runs in rounds over immutable graphs: a round reduces every
+  * maximal source chain of its graph at once and builds the next graph.
+  * Interior vertices have in-degree 1, so one round's chains are
+  * vertex-disjoint apart from shared ends. Merging may surface new chains
+  * (Figure 7's example), so rounds repeat until one finds no chain.
   *
   * Each removed edge is processed once by a greedy scan, so the whole
   * procedure is linear in the number of interactions.
@@ -21,74 +24,52 @@ object Simplify {
   final case class Result(graph: FlowGraph, chainsReduced: Int, removedInteractions: Int)
 
   def run(g: FlowGraph): Result = {
-    val edges = mutable.Map.from(g.edges)
-    val out   = mutable.Map.empty[Int, mutable.Set[Int]]
-    val in    = mutable.Map.empty[Int, mutable.Set[Int]]
-    g.edges.keysIterator.foreach { case (a, b) =>
-      out.getOrElseUpdate(a, mutable.Set.empty) += b
-      in.getOrElseUpdate(b, mutable.Set.empty) += a
+    var cur    = g
+    var chains = sourceChains(cur)
+    var count  = 0
+    while (chains.nonEmpty) {
+      cur = reduce(cur, chains)
+      count += chains.size
+      chains = sourceChains(cur)
     }
-    def outOf(v: Int): Set[Int] = out.get(v).map(_.toSet).getOrElse(Set.empty)
-    def inOf(v: Int): Set[Int]  = in.get(v).map(_.toSet).getOrElse(Set.empty)
+    Result(new FlowGraph(g.source, g.sink, cur.edges.filter(_._2.nonEmpty)), count,
+      g.interactionCount - cur.interactionCount)
+  }
 
-    def removeEdge(a: Int, b: Int): Vector[(Long, Double)] = {
-      val es = edges.remove((a, b)).getOrElse(Vector.empty)
-      out.get(a).foreach(_ -= b)
-      in.get(b).foreach(_ -= a)
-      es
+  /** Every maximal chain `v1 … vk` off the source. `v1 … v(k-1)` are interior
+    * vertices: neither source nor sink, one in- and one out-neighbour, no
+    * self-loop and no edge back to the source; `v1`'s in-neighbour is the
+    * source. A walk along interior vertices cannot revisit one (each has a
+    * single in-neighbour, and `v1`'s is the source), so it ends at `vk`.
+    */
+  private def sourceChains(g: FlowGraph): Vector[Vector[Int]] = {
+    def interior(v: Int): Boolean =
+      v != g.source && v != g.sink && g.inDegree(v) == 1 && g.outDegree(v) == 1 && {
+        val u = g.outNeighbors(v).head
+        u != v && u != g.source
+      }
+    g.outNeighbors(g.source).toVector
+      .filter(v1 => interior(v1) && g.inNeighbors(v1).head == g.source)
+      .map { v1 =>
+        val chain = Vector.newBuilder[Int]
+        var v     = v1
+        while (interior(v)) { chain += v; v = g.outNeighbors(v).head }
+        (chain += v).result()
+      }
+  }
+
+  /** Replace each chain by the Greedy arrivals into its end (Lemma 3),
+    * merged into the `(s, vk)` edge. That edge is kept even when it carries
+    * nothing, so `vk` still counts the source as an in-neighbour and a later
+    * round can reduce through it, as a one-chain-at-a-time loop would; `run`
+    * drops empty edges at the end.
+    */
+  private def reduce(g: FlowGraph, chains: Vector[Vector[Int]]): FlowGraph = {
+    val paths    = chains.map(c => (g.source +: c).sliding(2).map(w => (w(0), w(1))).toVector)
+    val arrivals = paths.map(p => p.last._2 -> Greedy.chain(p.map(g.edges)).sinkArrivals)
+    val merged = arrivals.groupMapReduce(_._1)(_._2)(_ ++ _).iterator.map { case (vk, as) =>
+      (g.source, vk) -> (g.edges.getOrElse((g.source, vk), Vector.empty) ++ as).sortBy(_._1)
     }
-    def addOrMergeEdge(a: Int, b: Int, es: Vector[(Long, Double)]): Unit =
-      if (es.nonEmpty) {
-        val merged = (edges.getOrElse((a, b), Vector.empty) ++ es).sortBy(_._1)
-        edges((a, b)) = merged
-        out.getOrElseUpdate(a, mutable.Set.empty) += b
-        in.getOrElseUpdate(b, mutable.Set.empty) += a
-      }
-
-    var chains  = 0
-    var removed = 0
-
-    /** First vertex `v1` of a reducible chain off the source, if any:
-      * `v1 ≠ sink`, `v1`'s only in-neighbour is `s`, out-degree 1, and it is
-      * not a self-referential 2-cycle with the source.
-      */
-    def findChainStart(): Option[Int] =
-      outOf(g.source).find { v1 =>
-        v1 != g.sink && v1 != g.source &&
-        inOf(v1) == Set(g.source) && outOf(v1).size == 1 &&
-        outOf(v1).head != v1 && outOf(v1).head != g.source
-      }
-
-    var start = findChainStart()
-    while (start.isDefined) {
-      val v1 = start.get
-      // Follow the chain: interior vertices have in-degree 1 and out-degree 1.
-      val interior = mutable.ArrayBuffer(v1)
-      var cur      = outOf(v1).head
-      var go       = true
-      while (go) {
-        if (cur != g.sink && cur != g.source &&
-            inOf(cur).size == 1 && outOf(cur).size == 1 &&
-            outOf(cur).head != cur && outOf(cur).head != g.source &&
-            !interior.contains(outOf(cur).head)) {
-          interior += cur
-          cur = outOf(cur).head
-        } else go = false
-      }
-      val vk = cur
-      // Collect the chain's edge sequences s -> v1 -> … -> vk.
-      val pathVertices = g.source +: interior.toVector :+ vk
-      val seqs = pathVertices.sliding(2).map(w => removeEdge(w(0), w(1))).toVector
-      removed += seqs.map(_.size).sum
-      interior.foreach { v => out.remove(v); in.remove(v) }
-      // Greedy over the chain yields the arrivals into vk (Lemma 3).
-      val arrivals = Greedy.chain(seqs).sinkArrivals
-      addOrMergeEdge(g.source, vk, arrivals)
-      removed -= arrivals.size
-      chains += 1
-      start = findChainStart()
-    }
-
-    Result(new FlowGraph(g.source, g.sink, edges.toMap), chains, removed)
+    new FlowGraph(g.source, g.sink, g.edges -- paths.flatten ++ merged)
   }
 }

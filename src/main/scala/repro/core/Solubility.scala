@@ -20,11 +20,4 @@ object Solubility {
     }
     degreesOk && g.isDag
   }
-
-  /** True for a chain `s -> v1 -> … -> t` (Lemma 1's special case). */
-  def isChain(g: FlowGraph): Boolean =
-    solvableByGreedy(g) &&
-      g.outDegree(g.source) == 1 &&
-      g.inDegree(g.sink) == 1 &&
-      g.vertices.forall(v => v == g.source || v == g.sink || g.inDegree(v) == 1)
 }

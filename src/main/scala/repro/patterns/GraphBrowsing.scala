@@ -7,13 +7,10 @@ import scala.collection.mutable
   * paper's graph-browsing baseline navigates ("main-memory representations
   * … adjacency lists", Section 6.3).
   */
-final class AdjacencyIndex(val edges: Map[(Int, Int), Vector[(Long, Double)]]) extends Serializable {
-  val out: Map[Int, Array[Int]] =
-    edges.keysIterator.toVector.groupMap(_._1)(_._2).view.mapValues(_.toArray.sorted).toMap
-  val in: Map[Int, Array[Int]] =
-    edges.keysIterator.toVector.groupMap(_._2)(_._1).view.mapValues(_.toArray.sorted).toMap
-  val vertices: Array[Int] =
-    edges.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
+final class AdjacencyIndex(edges: Map[(Int, Int), Vector[(Long, Double)]]) extends Serializable {
+  private val out = FlowGraph.neighbours(edges.keys)
+  private val in  = FlowGraph.neighbours(edges.keys.view.map(_.swap))
+  val vertices: Array[Int] = (out.keySet ++ in.keySet).toArray.sorted
 
   def outOf(v: Int): Array[Int]              = out.getOrElse(v, Array.empty)
   def inOf(v: Int): Array[Int]               = in.getOrElse(v, Array.empty)
@@ -22,10 +19,7 @@ final class AdjacencyIndex(val edges: Map[(Int, Int), Vector[(Long, Double)]]) e
 
 object AdjacencyIndex {
   def fromInteractions(inters: Seq[Interaction]): AdjacencyIndex =
-    new AdjacencyIndex(
-      inters.groupBy(i => (i.src, i.dst)).view
-        .mapValues(_.map(i => (i.ts, i.qty)).sortBy(_._1).toVector).toMap
-    )
+    new AdjacencyIndex(FlowGraph.groupEdges(inters))
 }
 
 /** Graph browsing (Section 5.1): enumerate pattern instances by mapping the

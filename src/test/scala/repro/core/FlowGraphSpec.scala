@@ -2,8 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 
-/** Tests for the FlowGraph model: construction, degrees, topological order,
-  * synthetic endpoints (Figure 4) and seed splitting.
+/** Tests for the FlowGraph model: construction, degrees, topological order
+  * and synthetic endpoints (Figure 4).
   */
 class FlowGraphSpec extends SparkSpec {
 
@@ -68,35 +68,6 @@ class FlowGraphSpec extends SparkSpec {
     // Flow through the synthetic graph equals what reaches original sinks:
     // vertex 2 buffers 3+4=7, forwards 5 at t=7 and min(6,2)=2 at t=8.
     assert(Greedy.flow(g) === 7.0)
-  }
-
-  test("splitVertex separates a seed's outgoing and incoming interactions") {
-    val inters = Seq(
-      Interaction(9, 1, 1L, 5.0),
-      Interaction(1, 9, 2L, 3.0),
-      Interaction(9, 2, 3L, 4.0),
-      Interaction(2, 9, 4L, 2.0),
-    )
-    val g = FlowGraph.splitVertex(9, inters, sourceId = -1, sinkId = -2)
-    assert(g.edges.keySet === Set((-1, 1), (1, -2), (-1, 2), (2, -2)))
-    assert(Greedy.flow(g) === 3.0 + 2.0)
-  }
-
-  test("normalizeTimestamps makes timestamps strictly increasing, preserving order") {
-    val inters = Seq(
-      Interaction(0, 1, 5L, 1.0),
-      Interaction(0, 2, 5L, 2.0),
-      Interaction(1, 2, 7L, 3.0),
-    )
-    val n = FlowGraph.normalizeTimestamps(inters)
-    assert(n.map(_.ts) === Seq(0L, 1L, 2L))
-    assert(n.map(_.qty) === Seq(1.0, 2.0, 3.0))
-  }
-
-  test("withEdges keeps source and sink") {
-    val g = TestGraphs.fig3.withEdges(Map((0, 3) -> Vector((1L, 1.0))))
-    assert(g.source === 0 && g.sink === 3)
-    assert(g.edgeCount === 1)
   }
 
   test("equality is structural") {

@@ -13,6 +13,7 @@ import repro.maxflow.TimeExpanded
   *   LP == time-expanded Dinic,
   *   Pre == PreSim == LP,
   *   preprocessing and simplification preserve the max flow,
+  *   preprocessing is idempotent,
   *   Lemma 2 graphs: greedy == max flow.
   *
   * (Driven by raw ScalaCheck generators — the scalatest-scalacheck bridge is
@@ -42,6 +43,11 @@ class InvariantPropertiesSpec extends SparkSpec {
 
   private def maxFlowRef(g: FlowGraph): Double = TimeExpanded.maxFlow(g)
 
+  /** Cyclic cycle-seed shapes; at 12 vertices, cut-off cycle vertices are
+    * common enough to exercise preprocessing's repeated passes.
+    */
+  private val cyclicShapes = Seq(TestGraphs.genMaybeCyclic(), TestGraphs.genMaybeCyclic(maxV = 12))
+
   test("property: greedy never exceeds the max flow (DAGs)") {
     checkProp("greedy<=max", TestGraphs.genDag()) { g =>
       Greedy.flow(g) <= maxFlowRef(g) + Tol
@@ -69,10 +75,17 @@ class InvariantPropertiesSpec extends SparkSpec {
   }
 
   test("property: preprocessing preserves the max flow on cyclic shapes") {
-    checkProp("preprocess/cyclic", TestGraphs.genMaybeCyclic()) { g =>
+    for (gen <- cyclicShapes) checkProp("preprocess/cyclic", gen) { g =>
       val pr    = Preprocess.run(g)
       val after = if (pr.zeroFlow) 0.0 else maxFlowRef(pr.graph)
       math.abs(maxFlowRef(g) - after) < Tol
+    }
+  }
+
+  test("property: preprocessing is idempotent") {
+    for (gen <- Seq(TestGraphs.genDag(), TestGraphs.genMaybeCyclic(maxV = 12))) checkProp("idempotent", gen) { g =>
+      val again = Preprocess.run(Preprocess.run(g).graph)
+      again.removedInteractions == 0 && again.removedEdges == 0 && again.removedVertices == 0
     }
   }
 
@@ -91,7 +104,7 @@ class InvariantPropertiesSpec extends SparkSpec {
   }
 
   test("property: Pre and PreSim equal the max flow on cyclic shapes") {
-    checkProp("pre/presim/cyclic", TestGraphs.genMaybeCyclic()) { g =>
+    for (gen <- cyclicShapes) checkProp("pre/presim/cyclic", gen) { g =>
       val ref = maxFlowRef(g)
       math.abs(FlowPipeline.pre(g).flow - ref) < Tol &&
       math.abs(FlowPipeline.preSim(g).flow - ref) < Tol

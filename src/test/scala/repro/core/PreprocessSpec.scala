@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.maxflow.TimeExpanded
 
-/** Tests for Algorithm 1 — DAG preprocessing (Section 4.2.3), including the
+/** Tests for Algorithm 1 — preprocessing (Section 4.2.3), including the
   * Figure 6 worked examples.
   */
 class PreprocessSpec extends SparkSpec {
@@ -110,6 +110,38 @@ class PreprocessSpec extends SparkSpec {
     // along with (1,2) by the reachability cleanup.
     assert(r.graph.edges.keySet === Set((0, 1), (1, 3)))
     assert(math.abs(TimeExpanded.maxFlow(g) - TimeExpanded.maxFlow(r.graph)) < Tol)
+  }
+
+  test("a vertex cut off inside a cycle no longer feeds the timestamp rule") {
+    // Pruning (1,2)@1 leaves 2 without incoming edges, so (2,1) is deleted;
+    // 1's earliest arrival is then (0,1)@5, after its only send to the sink.
+    val g = FlowGraph.fromEdges(0, 3, Map(
+      (0, 1) -> Seq((5L, 4.0)),
+      (1, 2) -> Seq((1L, 1.0)),
+      (2, 1) -> Seq((2L, 1.0)),
+      (1, 3) -> Seq((3L, 4.0)),
+    ))
+    assert(!g.isDag)
+    assert(Preprocess.run(g).zeroFlow)
+    assert(math.abs(TimeExpanded.maxFlow(g)) < Tol)
+  }
+
+  test("a 2000-vertex dead-end chain is deleted on a 1 MB thread stack") {
+    val n    = 2000
+    val sink = n + 2
+    val g = FlowGraph.fromEdges(0, sink, (0 until n).map(i => (i, i + 1) -> Seq(((10 + i).toLong, 1.0))).toMap ++ Map(
+      (n, n + 1)    -> Seq(((10 + n).toLong, 1.0)),
+      (n + 1, sink) -> Seq((1L, 1.0)), // before any arrival into n+1: pruned
+      (0, sink)     -> Seq((5L, 2.0)),
+    ))
+    var result: Any = null
+    val worker = new Thread(null, () => result = try Preprocess.run(g) catch { case e: Throwable => e },
+      "deep-chain", 1L << 20)
+    worker.start(); worker.join()
+    result match {
+      case r: Preprocess.Result => assert(r.graph.edges.keySet === Set((0, sink)))
+      case other                => fail(s"preprocessing failed: $other")
+    }
   }
 
   test("pruning does not remove interactions at exactly the minimum incoming timestamp") {

@@ -7,12 +7,10 @@ class SolubilitySpec extends SparkSpec {
 
   test("a chain is soluble (Lemma 1)") {
     assert(Solubility.solvableByGreedy(TestGraphs.chain4))
-    assert(Solubility.isChain(TestGraphs.chain4))
   }
 
   test("Lemma 2 DAG (multi-out only at source) is soluble") {
     assert(Solubility.solvableByGreedy(TestGraphs.lemma2Dag))
-    assert(!Solubility.isChain(TestGraphs.lemma2Dag))
   }
 
   test("Figure 3 graph is not soluble (y has two outgoing edges)") {
@@ -22,7 +20,6 @@ class SolubilitySpec extends SparkSpec {
   test("single edge is a soluble chain") {
     val g = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 1.0))))
     assert(Solubility.solvableByGreedy(g))
-    assert(Solubility.isChain(g))
   }
 
   test("intermediate vertex with zero outgoing edges breaks the condition") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** One transfer event: quantity `qty` moves from `src` to `dst` at time `ts`.
@@ -47,13 +48,13 @@ final class FlowGraph(
 
   def vertexCount: Int = vertices.size
 
-  /** All interactions globally ordered by timestamp (stable within ties). */
-  lazy val interactions: Vector[Interaction] = {
-    val all = edges.iterator.flatMap { case ((s, d), es) =>
+  /** All interactions globally ordered by timestamp (stable within ties), in
+    * an array: the solvers' sweeps index it.
+    */
+  lazy val interactions: IndexedSeq[Interaction] =
+    FlowGraph.timeOrdered(edges.iterator.flatMap { case ((s, d), es) =>
       es.iterator.map { case (t, q) => Interaction(s, d, t, q) }
-    }.toVector
-    all.sortBy(_.ts) // Vector.sortBy is stable
-  }
+    })
 
   def isEmpty: Boolean = edges.isEmpty
 
@@ -109,6 +110,27 @@ object FlowGraph {
     */
   def neighbours(pairs: Iterable[(Int, Int)]): Map[Int, Array[Int]] =
     pairs.groupMap(_._1)(_._2).view.mapValues(_.toArray.sorted).toMap
+
+  /** The interactions sorted by timestamp, stable on ties, in an array. */
+  def timeOrdered(inters: IterableOnce[Interaction]): IndexedSeq[Interaction] =
+    ArraySeq.unsafeWrapArray(inters.iterator.toArray.sortBy(_.ts))
+
+  /** Walks time-ordered interactions one timestamp group at a time: `send(k)`
+    * runs for every position `k` of a group, in order, before `commit(k)` runs
+    * for any of them. This is the one home of the tie rule of constraint (2),
+    * "usable only if received strictly before `t_i`": callers debit a sender
+    * in `send`, so same-time sends share its buffer, and credit a receiver in
+    * `commit`, so an arrival is usable only after its group (DESIGN.md §3).
+    */
+  def sweep(inters: IndexedSeq[Interaction])(send: Int => Unit)(commit: Int => Unit): Unit = {
+    var lo = 0
+    while (lo < inters.length) {
+      val ts = inters(lo).ts
+      var hi = lo
+      while (hi < inters.length && inters(hi).ts == ts) { send(hi); hi += 1 }
+      while (lo < hi) { commit(lo); lo += 1 }
+    }
+  }
 
   /** Build from a flat interaction list; per-edge sequences are sorted by
     * timestamp (stable on ties).

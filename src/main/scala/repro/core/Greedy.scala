@@ -10,13 +10,10 @@ import scala.collection.mutable
   * whatever the sink has buffered after the last interaction. Linear in the
   * number of interactions.
   *
-  * Tie semantics (DESIGN.md §3): quantities arriving at timestamp `t` become
-  * usable only by interactions with timestamp strictly greater than `t`
-  * (constraint (2) of the LP uses `t_j < t_i`). Interactions sharing a
-  * timestamp therefore see the buffer state as of the end of the previous
-  * timestamp, while their own sends still debit the sender so that two
-  * same-time sends cannot double-spend. On inputs with distinct timestamps —
-  * the paper's implicit assumption — this is the textbook greedy scan.
+  * Ties follow [[FlowGraph.sweep]]: a quantity arriving at `t` is usable only
+  * after `t`, and same-time sends debit the sender in turn. On inputs with
+  * distinct timestamps — the paper's implicit assumption — this is the
+  * textbook greedy scan.
   */
 object Greedy {
 
@@ -35,31 +32,20 @@ object Greedy {
       buffers: Map[Int, Double],
   )
 
-  /** Run the greedy scan over a pre-sorted interaction sequence. */
-  def run(inters: IterableOnce[Interaction], source: Int, sink: Int): Result = {
+  /** Run the greedy scan over a time-ordered interaction sequence. */
+  def run(inters: IndexedSeq[Interaction], source: Int, sink: Int): Result = {
     val buf      = mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-    val pending  = mutable.Map.empty[Int, Double].withDefaultValue(0.0)
+    val moved    = new Array[Double](inters.length)
     val arrivals = Vector.newBuilder[(Long, Double)]
-    var lastTs   = Long.MinValue
-
-    def flushPending(): Unit = {
-      pending.foreach { case (v, q) => buf(v) += q }
-      pending.clear()
-    }
-
-    val it = inters.iterator
-    while (it.hasNext) {
-      val i = it.next()
-      if (i.ts != lastTs) { flushPending(); lastTs = i.ts }
-      val avail = if (i.src == source) Double.PositiveInfinity else buf(i.src)
-      val q     = math.min(i.qty, avail)
+    FlowGraph.sweep(inters) { k =>
+      val i = inters(k)
+      val q = math.min(i.qty, if (i.src == source) Double.PositiveInfinity else buf(i.src))
       if (q > 0) {
         if (i.src != source) buf(i.src) -= q
-        pending(i.dst) += q
+        moved(k) = q
         if (i.dst == sink) arrivals += ((i.ts, q))
       }
-    }
-    flushPending()
+    } { k => if (moved(k) > 0) buf(inters(k).dst) += moved(k) }
     Result(buf(sink), arrivals.result(), buf.toMap)
   }
 
@@ -78,9 +64,9 @@ object Greedy {
     val k = edgeSeqs.size
     require(k >= 1, "chain needs at least one edge")
     // Vertices are numbered 0 (source) .. k (chain end / scan sink).
-    val inters = edgeSeqs.zipWithIndex.flatMap { case (es, i) =>
-      es.map { case (t, q) => Interaction(i, i + 1, t, q) }
+    val inters = edgeSeqs.iterator.zipWithIndex.flatMap { case (es, i) =>
+      es.iterator.map { case (t, q) => Interaction(i, i + 1, t, q) }
     }
-    run(inters.sortBy(_.ts), source = 0, sink = k)
+    run(FlowGraph.timeOrdered(inters), source = 0, sink = k)
   }
 }

@@ -15,8 +15,10 @@ import scala.collection.mutable
   *
   * Incoming interactions from the source contribute their full `q_j` as a
   * constant on the right-hand side of (2). Direct source→sink interactions
-  * contribute a constant to the objective. "Before" is strict (`t_j < t_i`),
-  * implemented with a per-vertex timestamp-group sweep.
+  * contribute a constant to the objective. "Before" follows
+  * [[FlowGraph.sweep]]: arrivals count only from earlier timestamps, and
+  * earlier sends of the same timestamp count against the buffer too, so two
+  * same-time sends cannot spend it twice.
   *
   * The LP is handed to [[repro.lp.Simplex]] (the lpsolve substitute).
   */
@@ -27,104 +29,73 @@ object MaxFlowLP {
 
   def maxFlow(g: FlowGraph): Double = solve(g).flow
 
+  /** A vertex's buffer before the current timestamp group: the constant
+    * inflow from the source plus the variables that arrived, minus the
+    * variables of every send so far, same-time sends included.
+    */
+  private final class Buffer {
+    var fromSource = 0.0
+    val in, out    = mutable.ArrayBuffer.empty[Int]
+  }
+
   def solve(g: FlowGraph): Result = {
     val inters = g.interactions
     val source = g.source
-    val sink   = g.sink
+    val n      = inters.count(_.src != source)
 
-    // Variable index per non-source interaction, in global time order.
-    val varIdx = mutable.Map.empty[Int, Int] // position in `inters` -> var id
-    var n      = 0
-    inters.indices.foreach { k =>
-      if (inters(k).src != source) { varIdx(k) = n; n += 1 }
-    }
+    val buffers = mutable.Map.empty[Int, Buffer]
+    def buffer(v: Int) = buffers.getOrElseUpdate(v, new Buffer)
 
-    // Constant objective term: direct source -> sink interactions.
-    val directConst = inters.iterator
-      .filter(i => i.src == source && i.dst == sink)
-      .map(_.qty)
-      .sum
+    val varOf  = new Array[Int](inters.length) // variable of each position, -1 if sent by the source
+    val c      = new Array[Double](n)
+    val bound  = new Array[Double](n)
+    var direct = 0.0 // source -> sink interactions: a constant objective term
+    var vars   = 0
+    val rows   = mutable.ArrayBuffer.empty[Array[Double]]
+    val rhs    = mutable.ArrayBuffer.empty[Double]
 
-    if (n == 0) return Result(directConst, 0, 0)
-
-    val c = Array.fill(n)(0.0)
-    inters.indices.foreach { k =>
-      if (inters(k).dst == sink) varIdx.get(k).foreach(v => c(v) = 1.0)
-    }
-
-    // Per-vertex sweep building constraint (2) for each outgoing interaction.
-    // Events of vertex v: every interaction with src == v (outgoing) or
-    // dst == v (incoming), processed in global time order grouped by
-    // timestamp so that same-time events see the pre-group state.
-    val rows = mutable.ArrayBuffer.empty[Array[Double]]
-    val rhs  = mutable.ArrayBuffer.empty[Double]
-
-    val byVertex = mutable.Map.empty[Int, mutable.ArrayBuffer[Int]] // vertex -> interaction positions
-    inters.indices.foreach { k =>
+    // Constraint (2) of each send, against its sender's buffer.
+    FlowGraph.sweep(inters) { k =>
       val i = inters(k)
-      if (i.src != source) byVertex.getOrElseUpdate(i.src, mutable.ArrayBuffer.empty) += k
-      if (i.dst != source) byVertex.getOrElseUpdate(i.dst, mutable.ArrayBuffer.empty) += k
-    }
-
-    byVertex.foreach { case (v, ks) =>
-      if (v != source) {
-        // State before the current timestamp group.
-        var srcInflowConst = 0.0
-        val inVars         = mutable.ArrayBuffer.empty[Int]
-        val outVars        = mutable.ArrayBuffer.empty[Int]
-        var idx            = 0
-        val sorted         = ks.sortBy(k => inters(k).ts)
-        while (idx < sorted.length) {
-          val ts       = inters(sorted(idx)).ts
-          var groupEnd = idx
-          while (groupEnd < sorted.length && inters(sorted(groupEnd)).ts == ts) groupEnd += 1
-          // Emit constraints for this group's outgoing interactions against
-          // the pre-group state.
-          var j = idx
-          while (j < groupEnd) {
-            val k = sorted(j)
-            val i = inters(k)
-            if (i.src == v) {
-              val row = Array.fill(n)(0.0)
-              row(varIdx(k)) = 1.0
-              outVars.foreach(o => row(o) += 1.0)
-              inVars.foreach(o => row(o) -= 1.0)
-              rows += row
-              rhs += srcInflowConst
-            }
-            j += 1
-          }
-          // Apply the group's updates.
-          j = idx
-          while (j < groupEnd) {
-            val k = sorted(j)
-            val i = inters(k)
-            if (i.src == v) outVars += varIdx(k)
-            if (i.dst == v) {
-              if (i.src == source) srcInflowConst += i.qty
-              else inVars += varIdx(k)
-            }
-            j += 1
-          }
-          idx = groupEnd
-        }
+      if (i.src == source) {
+        varOf(k) = -1
+        if (i.dst == g.sink) direct += i.qty
+      } else {
+        val x = vars
+        vars += 1
+        varOf(k) = x
+        if (i.dst == g.sink) c(x) = 1.0
+        bound(x) = i.qty
+        val b   = buffer(i.src)
+        val row = new Array[Double](n)
+        row(x) = 1.0
+        b.out.foreach(o => row(o) += 1.0)
+        b.in.foreach(o => row(o) -= 1.0)
+        rows += row
+        rhs += b.fromSource
+        b.out += x
+      }
+    } { k =>
+      val i = inters(k)
+      if (i.dst != source) {
+        val b = buffer(i.dst)
+        if (varOf(k) < 0) b.fromSource += i.qty else b.in += varOf(k)
       }
     }
 
+    if (n == 0) return Result(direct, 0, 0)
+
     // Bound rows x_i <= q_i (skipped for infinite quantities).
-    inters.indices.foreach { k =>
-      varIdx.get(k).foreach { vi =>
-        val q = inters(k).qty
-        if (!q.isInfinity) {
-          val row = Array.fill(n)(0.0)
-          row(vi) = 1.0
-          rows += row
-          rhs += q
-        }
+    bound.indices.foreach { x =>
+      if (!bound(x).isInfinity) {
+        val row = new Array[Double](n)
+        row(x) = 1.0
+        rows += row
+        rhs += bound(x)
       }
     }
 
     val sol = Simplex.maximize(rows.toArray, rhs.toArray, c)
-    Result(sol.value + directConst, n, rows.length)
+    Result(sol.value + direct, n, rows.length)
   }
 }

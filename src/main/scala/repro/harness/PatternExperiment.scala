@@ -1,7 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.SparkSession
 import repro.data.NetworkGen
 import repro.patterns._
 

@@ -1,6 +1,6 @@
 package repro.maxflow
 
-import repro.core.{FlowGraph, Interaction}
+import repro.core.FlowGraph
 import scala.collection.mutable
 
 /** Maximum flow of a temporal interaction network via the time-expanded
@@ -19,6 +19,10 @@ import scala.collection.mutable
   *     and whose head is `u@t` (or `T` when `u` is the sink; tail is `S` when
   *     `v` is the source, which has infinite supply).
   *
+  * One [[FlowGraph.sweep]] builds it: a group's arcs leave each vertex's
+  * current version, and the group's arrivals become current in its commit
+  * step. A version exists even when its arriving interaction is dropped.
+  *
   * Nodes and arcs are both linear in the number of interactions; Dinic then
   * yields the exact maximum flow. This is the oracle used to validate the
   * paper's LP formulation in the test suites, and an exact solver in its own
@@ -26,68 +30,36 @@ import scala.collection.mutable
   */
 object TimeExpanded {
 
-  def maxFlow(g: FlowGraph): Double = maxFlow(g.interactions, g.source, g.sink)
+  def maxFlow(g: FlowGraph): Double = {
+    val inters = g.interactions
 
-  def maxFlow(inters: Seq[Interaction], source: Int, sink: Int): Double = {
-    if (inters.isEmpty) return 0.0
+    // Nodes: S, T, then at most one version per interaction.
+    val S       = 0
+    val T       = 1
+    val dinic   = new Dinic(2 + inters.length)
+    var nodes   = 2
+    val current = mutable.Map.empty[Int, Int] // vertex -> its latest version before this group
+    val next    = mutable.Map.empty[Int, Int] // vertex -> its version at this group's timestamp
 
-    // Arrival timestamps per intermediate vertex, sorted ascending.
-    val arrivals = mutable.Map.empty[Int, mutable.SortedSet[Long]]
-    inters.foreach { i =>
-      if (i.dst != sink && i.dst != source)
-        arrivals.getOrElseUpdate(i.dst, mutable.SortedSet.empty[Long]) += i.ts
-    }
-
-    val id      = mutable.Map.empty[(Int, Long), Int]
-    var next    = 0
-    def alloc(): Int = { val v = next; next += 1; v }
-    val s = alloc()
-    val t = alloc()
-    val versions: Map[Int, Array[Long]] = arrivals.iterator.map { case (v, ts) =>
-      val arr = ts.toArray
-      arr.foreach(tm => id((v, tm)) = alloc())
-      v -> arr
-    }.toMap
-
-    val dinic = new Dinic(next)
-
-    // Holdover arcs between consecutive versions of each vertex.
-    versions.foreach { case (v, ts) =>
-      var i = 0
-      while (i + 1 < ts.length) {
-        dinic.addEdge(id((v, ts(i))), id((v, ts(i + 1))), Double.PositiveInfinity)
-        i += 1
-      }
-    }
-
-    /** Latest version of `v` strictly before time `tm`, or -1. */
-    def versionBefore(v: Int, tm: Long): Int =
-      versions.get(v) match {
-        case None => -1
-        case Some(ts) =>
-          // binary search for greatest ts(i) < tm
-          var lo = 0; var hi = ts.length - 1; var ans = -1
-          while (lo <= hi) {
-            val mid = (lo + hi) >>> 1
-            if (ts(mid) < tm) { ans = mid; lo = mid + 1 } else hi = mid - 1
-          }
-          if (ans < 0) -1 else id((v, ts(ans)))
-      }
-
-    inters.foreach { i =>
+    FlowGraph.sweep(inters) { k =>
+      val i = inters(k)
+      val head =
+        if (i.dst == g.sink) T
+        else if (i.dst == g.source) -1 // flow back into the infinite source is useless; drop
+        else next.getOrElseUpdate(i.dst, { nodes += 1; nodes - 1 })
       val tail =
-        if (i.src == source) s
-        else if (i.src == sink) -1 // sink must not forward; drop (no outgoing from sink by assumption)
-        else versionBefore(i.src, i.ts)
-      if (tail >= 0) {
-        val head =
-          if (i.dst == sink) t
-          else if (i.dst == source) -1 // flow back into the infinite source is useless; drop
-          else id((i.dst, i.ts))
-        if (head >= 0) dinic.addEdge(tail, head, i.qty)
+        if (i.src == g.source) S
+        else if (i.src == g.sink) -1 // the sink does not forward; drop
+        else current.getOrElse(i.src, -1)
+      if (tail >= 0 && head >= 0) dinic.addEdge(tail, head, i.qty)
+    } { k =>
+      val v = inters(k).dst
+      next.remove(v).foreach { version =>
+        current.get(v).foreach(dinic.addEdge(_, version, Double.PositiveInfinity)) // holdover
+        current(v) = version
       }
     }
 
-    dinic.maxFlow(s, t)
+    dinic.maxFlow(S, T)
   }
 }

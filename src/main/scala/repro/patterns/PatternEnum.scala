@@ -19,8 +19,6 @@ import repro.patterns.PathTables.TsQty
   */
 object PatternEnum {
 
-  final case class PatternResult(pattern: String, instances: Long, avgFlow: Double)
-
   private def countAvg(df: DataFrame, flowCol: String): (Long, Double) = {
     val r = df.agg(count(lit(1)), avg(col(flowCol))).head()
     (r.getLong(0), if (r.isNullAt(1)) 0.0 else r.getDouble(1))

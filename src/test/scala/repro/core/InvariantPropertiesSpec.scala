@@ -14,7 +14,8 @@ import repro.maxflow.TimeExpanded
   *   Pre == PreSim == LP,
   *   preprocessing and simplification preserve the max flow,
   *   preprocessing is idempotent,
-  *   Lemma 2 graphs: greedy == max flow.
+  *   Lemma 2 graphs: greedy == max flow,
+  *   and with tied timestamps: greedy <= max flow, LP == Pre == PreSim == max flow.
   *
   * (Driven by raw ScalaCheck generators — the scalatest-scalacheck bridge is
   * not among the offline dependencies, so sampling is explicit.)
@@ -122,6 +123,16 @@ class InvariantPropertiesSpec extends SparkSpec {
       val r        = Greedy.run(g)
       val injected = g.interactions.filter(_.src == g.source).map(_.qty).sum
       r.buffers.values.sum <= injected + Tol
+    }
+  }
+
+  test("property: tied timestamps: greedy <= max flow, LP == Pre == PreSim == max flow") {
+    for (gen <- Seq(TestGraphs.genDag(), TestGraphs.genMaybeCyclic(maxV = 12))) checkProp("tied", TestGraphs.tied(gen)) { g =>
+      val ref = maxFlowRef(g)
+      Greedy.flow(g) <= ref + Tol &&
+      math.abs(MaxFlowLP.maxFlow(g) - ref) < Tol &&
+      math.abs(FlowPipeline.pre(g).flow - ref) < Tol &&
+      math.abs(FlowPipeline.preSim(g).flow - ref) < Tol
     }
   }
 }

@@ -105,4 +105,29 @@ class MaxFlowLPSpec extends SparkSpec {
     val r = MaxFlowLP.solve(TestGraphs.fig3)
     assert(r.numConstraints === 6) // 3 buffer + 3 bounds
   }
+
+  test("same-time sends share the sender's buffer") {
+    // v holds 5 when it sends 5 to a and 5 to b at t=2, so at most 5 reaches
+    // t; a row per send against the pre-group buffer alone would allow 10.
+    val g = FlowGraph.fromEdges(0, 4, Map(
+      (0, 1) -> Seq((1L, 5.0)),
+      (1, 2) -> Seq((2L, 5.0)),
+      (1, 3) -> Seq((2L, 5.0)),
+      (2, 4) -> Seq((3L, 5.0)),
+      (3, 4) -> Seq((3L, 5.0)),
+    ))
+    assert(math.abs(MaxFlowLP.maxFlow(g) - 5.0) < Tol)
+    assert(math.abs(FlowPipeline.pre(g).flow - 5.0) < Tol)
+  }
+
+  test("a self-loop gives one buffer row") {
+    val g = FlowGraph.fromEdges(0, 2, Map(
+      (0, 1) -> Seq((1L, 5.0)),
+      (1, 1) -> Seq((2L, 3.0)),
+      (1, 2) -> Seq((3L, 5.0)),
+    ))
+    val r = MaxFlowLP.solve(g)
+    assert(r.numConstraints === 4) // 2 buffer + 2 bounds
+    assert(math.abs(r.flow - 5.0) < Tol)
+  }
 }

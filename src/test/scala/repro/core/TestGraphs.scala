@@ -158,4 +158,10 @@ object TestGraphs {
       }
       FlowGraph(0, k, inters)
     }
+
+  /** `gen` with every timestamp divided by 3, so most timestamps are shared
+    * by a few interactions: the ties the generators above never produce.
+    */
+  def tied(gen: Gen[FlowGraph]): Gen[FlowGraph] =
+    gen.map(g => FlowGraph(g.source, g.sink, g.interactions.map(i => i.copy(ts = i.ts / 3))))
 }

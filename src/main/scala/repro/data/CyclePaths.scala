@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions._
 
 /** The network's ≤3-hop paths through pairwise-distinct vertices, as
   * self-joins of an edge DataFrame with `src`/`dst` columns — the one
@@ -14,6 +14,16 @@ import org.apache.spark.sql.functions.col
   * takes part: the paper's paths "pass through other vertices".
   */
 object CyclePaths {
+
+  /** One interaction of an edge: the element type of [[edges]]' `es`. */
+  final case class TsQty(ts: Long, qty: Double)
+
+  /** The network's one per-edge table `(src, dst, es)`: `es` is the edge's
+    * timestamp-sorted `array<struct<ts,qty>>`, `size(es)` its interaction count.
+    */
+  def edges(net: DataFrame): DataFrame =
+    net.groupBy(col("src"), col("dst"))
+      .agg(sort_array(collect_list(struct(col("ts"), col("qty")))) as "es")
 
   /** 2-hop cycles `a→b→a`, `a≠b`. */
   def cycles2(e: DataFrame): DataFrame =

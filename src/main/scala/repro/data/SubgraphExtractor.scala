@@ -1,8 +1,10 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders}
 import org.apache.spark.sql.functions._
 import repro.core.{FlowGraph, Interaction}
+import repro.data.CyclePaths.TsQty
+import scala.collection.mutable
 
 /** Section 6.2's subgraph extraction protocol, as Spark dataflow.
   *
@@ -12,15 +14,15 @@ import repro.core.{FlowGraph, Interaction}
   * form a single subgraph." — i.e. for every seed `a`, the union of the arcs
   * of all 2-hop cycles `a→b→a` and 3-hop cycles `a→b→c→a`.
   *
-  * Cycle enumeration joins run on the **distinct-edge** projection (the
-  * interaction multiplicity is irrelevant to the structure), which keeps the
-  * self-join sizes bounded by structural degrees. Interactions are attached
-  * afterwards by a join back to the network. The seed is split into a source
-  * (its outgoing interactions) and a sink (its incoming ones) — Section 3
-  * allows source == sink, and this is the standard reduction. Subgraphs with
-  * more than `maxInteractions` interactions are discarded, like the paper's
-  * 10K cap (our LP substrate is a dense simplex, so the default cap is
-  * lower; DESIGN.md §3).
+  * It runs over the network's per-edge table [[CyclePaths.edges]], cached
+  * once per network: cycles are enumerated on its `(src, dst)` ids alone
+  * (self-join sizes stay bounded by structural degrees), the arcs are joined
+  * to the table once, and one regroup by seed assembles each subgraph, with
+  * the seed split into a source (its outgoing interactions) and a sink (its
+  * incoming ones) — Section 3 allows source == sink, and this is the standard
+  * reduction. Subgraphs with more than `maxInteractions` interactions are
+  * discarded, like the paper's 10K cap (our LP substrate is a dense simplex,
+  * so the default cap is lower; DESIGN.md §3).
   */
 object SubgraphExtractor {
 
@@ -36,57 +38,52 @@ object SubgraphExtractor {
     def toFlowGraph: FlowGraph = FlowGraph(SourceId, SinkId, inters)
   }
 
-  /** Distinct structural edges `(src, dst)` of the network. */
-  def distinctEdges(net: DataFrame): DataFrame =
-    net.select(col("src"), col("dst")).distinct()
+  /** Frees the edge table that [[cycleArcs]] and [[extract]] cache for `net`. */
+  def release(net: DataFrame): Unit = CyclePaths.edges(net).unpersist()
 
-  /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct:
-    * the edges `e1..ek` of each [[CyclePaths]] cycle, seeded at `e1.src`.
+  /** Arcs `(seed, src, dst)` of the ≤3-hop cycles through `seed` over the ids
+    * of `e`, one row per cycle edge `e1..ek`, seeded at `e1.src`.
     */
-  def cycleArcs(net: DataFrame): DataFrame = {
-    val e = distinctEdges(net).cache()
-    def arcs(cycles: DataFrame, k: Int): DataFrame =
+  private def arcs(e: DataFrame): DataFrame = {
+    def cycleEdges(cycles: DataFrame, k: Int): DataFrame =
       cycles.select(col("e1.src") as "seed", explode(array((1 to k).map { i =>
         struct(col(s"e$i.src") as "src", col(s"e$i.dst") as "dst")
       }: _*)) as "arc")
-    arcs(CyclePaths.cycles2(e), 2).union(arcs(CyclePaths.cycles3(e), 3))
+    val ids = e.select("src", "dst")
+    cycleEdges(CyclePaths.cycles2(ids), 2).union(cycleEdges(CyclePaths.cycles3(ids), 3))
       .select(col("seed"), col("arc.src") as "src", col("arc.dst") as "dst")
-      .distinct()
   }
 
-  /** Tagged interactions of every kept subgraph: cycle arcs joined back to
-    * the interaction table, seed split into [[SourceId]]/[[SinkId]], seeds
-    * above the interaction cap discarded.
+  /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct. */
+  def cycleArcs(net: DataFrame): DataFrame = arcs(CyclePaths.edges(net).cache()).distinct()
+
+  /** [[extract]]'s subgraphs, one row per interaction. */
+  def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] =
+    extract(net, maxInteractions).flatMap(sg => sg.inters.map(i =>
+      TaggedInteraction(sg.seed, i.src, i.dst, i.ts, i.qty)))(Encoders.product[TaggedInteraction])
+
+  /** Per-seed subgraphs, ready for the flow algorithms: the cycle arcs joined
+    * to the edge table and regrouped by seed, each distinct arc adding its
+    * edge's interactions. A seed past `maxInteractions` is dropped, and the
+    * rest of its group drained without storing anything.
     */
-  def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] = {
-    val spark = net.sparkSession
-    import spark.implicits._
-    val arcs = cycleArcs(net)
-    val tagged = arcs
-      .join(net, Seq("src", "dst"))
-      .select(col("seed"), col("src"), col("dst"), col("ts"), col("qty"))
-    val kept = tagged.groupBy("seed").count().where(col("count") <= maxInteractions).select("seed")
-    tagged
-      .join(kept, "seed")
-      .select(
-        col("seed").cast("int"),
-        when(col("src") === col("seed"), lit(SourceId)).otherwise(col("src")).cast("int") as "src",
-        when(col("dst") === col("seed"), lit(SinkId)).otherwise(col("dst")).cast("int") as "dst",
-        col("ts").cast("long"),
-        col("qty").cast("double"),
-      )
-      .as[TaggedInteraction]
-  }
-
-  /** Collected per-seed subgraphs, ready for the flow algorithms. */
   def extract(net: DataFrame, maxInteractions: Int): Dataset[Subgraph] = {
     val spark = net.sparkSession
     import spark.implicits._
-    taggedInteractions(net, maxInteractions)
-      .groupByKey(_.seed)
-      .mapGroups { (seed, rows) =>
-        val inters = rows.map(r => Interaction(r.src, r.dst, r.ts, r.qty)).toVector.sortBy(_.ts)
-        Subgraph(seed, inters)
+    val e = CyclePaths.edges(net).cache()
+    arcs(e).join(e, Seq("src", "dst")).select("seed", "src", "dst", "es").as[(Int, Int, Int, Seq[TsQty])]
+      .groupByKey(_._1).flatMapGroups { (seed, rows) =>
+        val seen   = mutable.HashSet.empty[(Int, Int)]
+        val inters = Vector.newBuilder[Interaction]
+        var n      = 0L
+        rows.foreach { case (_, src, dst, es) =>
+          if (n <= maxInteractions && seen.add((src, dst))) {
+            n += es.size
+            val (s, d) = (if (src == seed) SourceId else src, if (dst == seed) SinkId else dst)
+            if (n <= maxInteractions) es.foreach(x => inters += Interaction(s, d, x.ts, x.qty))
+          }
+        }
+        if (n <= maxInteractions) Iterator.single(Subgraph(seed, inters.result().sortBy(_.ts))) else Iterator.empty
       }
   }
 

@@ -138,7 +138,7 @@ object FlowExperiment {
       buffered.map { sg => measure(sg.seed, sg.toFlowGraph, verify) }
     }.collect()
 
-    net.unpersist(); all.unpersist()
+    all.unpersist(); SubgraphExtractor.release(net); net.unpersist()
     Report(cfg.dataset, cfg.sf, netStats, sgStats, measured.map(_._1).toSeq, measured.map(_._2).sum)
   }
 }

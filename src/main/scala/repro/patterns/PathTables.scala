@@ -5,6 +5,7 @@ import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.core.Greedy
 import repro.data.CyclePaths
+import repro.data.CyclePaths.TsQty
 
 /** Path precomputation (Section 5.2): tables of small path instances with
   * the interaction sequence that enters the buffer of the path's end vertex
@@ -21,11 +22,10 @@ import repro.data.CyclePaths
   * reduced edge's interaction sequence), so flows of patterns whose paths are
   * independent are sums/merges of table rows with no further flow
   * computation. All tables are DataFrames produced by Catalyst joins over
-  * the per-edge interaction aggregation.
+  * the per-edge table `CyclePaths.edges`.
   */
 object PathTables {
 
-  final case class TsQty(ts: Long, qty: Double)
   final case class ChainOut(flow: Double, arrivals: Seq[TsQty])
 
   private def rowsToSeq(rows: Seq[Row]): Seq[(Long, Double)] =
@@ -45,29 +45,22 @@ object PathTables {
     udf((e1: Seq[Row], e2: Seq[Row], e3: Seq[Row]) =>
       chainResult(Seq(rowsToSeq(e1), rowsToSeq(e2), rowsToSeq(e3))))
 
-  /** Per-edge interaction aggregation: `(src, dst, es)` with `es` the
-    * timestamp-sorted `array<struct<ts,qty>>` of the edge.
-    */
-  def edgeInteractions(net: DataFrame): DataFrame =
-    net.groupBy(col("src"), col("dst"))
-      .agg(sort_array(collect_list(struct(col("ts"), col("qty")))) as "es")
-
   /** 2-hop cycle table: `(a, b, flow, arrivals)`. */
   def l2(net: DataFrame): DataFrame =
-    CyclePaths.cycles2(edgeInteractions(net))
+    CyclePaths.cycles2(CyclePaths.edges(net))
       .select(col("e1.src") as "a", col("e1.dst") as "b", chain2(col("e1.es"), col("e2.es")) as "r")
       .select(col("a"), col("b"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
 
   /** 3-hop cycle table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
   def l3(net: DataFrame): DataFrame =
-    CyclePaths.cycles3(edgeInteractions(net))
+    CyclePaths.cycles3(CyclePaths.edges(net))
       .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
         chain3(col("e1.es"), col("e2.es"), col("e3.es")) as "r")
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
 
   /** 2-hop chain table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
   def c2(net: DataFrame): DataFrame =
-    CyclePaths.chains2(edgeInteractions(net))
+    CyclePaths.chains2(CyclePaths.edges(net))
       .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
         chain2(col("e1.es"), col("e2.es")) as "r")
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.{FlowGraph, FlowPipeline}
 import repro.data.CyclePaths
-import repro.patterns.PathTables.TsQty
+import repro.data.CyclePaths.TsQty
 
 /** Preprocessing-based pattern enumeration (PB, Section 5.2): instances are
   * assembled by joining the precomputed path tables (merge joins in the
@@ -64,7 +64,7 @@ object PatternEnum {
   def p4(net: DataFrame, cap: Option[Long] = None): (Long, Double) = {
     val spark = net.sparkSession
     import spark.implicits._
-    val e = PathTables.edgeInteractions(net)
+    val e = CyclePaths.edges(net)
     val joined0 = CyclePaths.cycles3(e)
       .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
       .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")

@@ -70,6 +70,31 @@ class FlowGraphSpec extends SparkSpec {
     assert(Greedy.flow(g) === 7.0)
   }
 
+  test("Figure 4: LP, Pre, PreSim and time-expanded Dinic agree on synthetic endpoints, greedy stays below") {
+    def check(g: FlowGraph, greedy: Double, max: Double): Unit = {
+      val flows = Seq("dinic" -> FlowPipeline.dinic(g), "lp" -> FlowPipeline.lp(g),
+        "pre" -> FlowPipeline.pre(g).flow, "presim" -> FlowPipeline.preSim(g).flow)
+      flows.foreach { case (m, f) => assert(math.abs(f - max) < 1e-9, s"$m: $f != $max") }
+      assert(math.abs(FlowPipeline.greedy(g) - greedy) < 1e-9)
+    }
+    val fig4 = Seq(
+      Interaction(1, 2, 5L, 3.0),
+      Interaction(3, 2, 6L, 4.0),
+      Interaction(2, 4, 7L, 5.0),
+      Interaction(2, 5, 8L, 6.0),
+    )
+    check(FlowGraph.withSyntheticEndpoints(fig4, Seq(1, 3), Seq(4, 5), -1, -2), greedy = 7.0, max = 7.0)
+    // Greedy moves all 5 units to 3, which forwards only 3 to sink 4, so
+    // nothing is left for 2→5; holding 2 back at vertex 2 reaches 3 + 2.
+    val twoSinks = Seq(
+      Interaction(1, 2, 1L, 5.0),
+      Interaction(2, 3, 2L, 5.0),
+      Interaction(3, 4, 3L, 3.0),
+      Interaction(2, 5, 4L, 5.0),
+    )
+    check(FlowGraph.withSyntheticEndpoints(twoSinks, Seq(1), Seq(4, 5), -1, -2), greedy = 3.0, max = 5.0)
+  }
+
   test("equality is structural") {
     val a = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
     val b = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))

@@ -24,6 +24,30 @@ class SubgraphExtractorSpec extends SparkSpec {
     ).toDF()
   }
 
+  /** Cap fixture, for a cap of 5: 1→2 (two interactions), 2→1, 2→3 and 3→1
+    * give seeds 1 and 2 exactly 5 interactions (1→2 lies on both of seed 1's
+    * cycles and on cycles of seeds 1, 2 and 3, and counts once per seed) and
+    * seed 3 four; 4↔5 with three interactions each way gives seeds 4 and 5
+    * six, one over the cap.
+    */
+  private lazy val capNet = {
+    val s = spark
+    import s.implicits._
+    Seq(
+      Interaction(1, 2, 1L, 5.0),
+      Interaction(1, 2, 2L, 2.0),
+      Interaction(2, 1, 3L, 3.0),
+      Interaction(2, 3, 4L, 4.0),
+      Interaction(3, 1, 5L, 1.5),
+      Interaction(4, 5, 6L, 1.0),
+      Interaction(5, 4, 7L, 2.0),
+      Interaction(4, 5, 8L, 3.0),
+      Interaction(5, 4, 9L, 4.0),
+      Interaction(4, 5, 10L, 5.0),
+      Interaction(5, 4, 11L, 6.0),
+    ).toDF()
+  }
+
   /** 1↔2 (2-cycle) with a self-loop 1→1 on it, and a lone self-loop 8→8. */
   private lazy val loopNet = {
     val s = spark
@@ -34,10 +58,6 @@ class SubgraphExtractorSpec extends SparkSpec {
       Interaction(1, 1, 3L, 4.0),
       Interaction(8, 8, 4L, 1.0),
     ).toDF()
-  }
-
-  test("distinctEdges collapses interaction multiplicity") {
-    assert(SubgraphExtractor.distinctEdges(net).count() === 6)
   }
 
   test("cycleArcs finds 2-cycle seeds 1,2 and 3-cycle seeds 3,4,5 but not 6,7") {
@@ -101,10 +121,47 @@ class SubgraphExtractorSpec extends SparkSpec {
   }
 
   test("interaction cap discards oversized subgraphs") {
-    val subs = SubgraphExtractor.extract(net, 2).collect()
-    // seed 1's subgraph has 3 interactions -> discarded; 3-cycles stay (3 each)?
-    // cap 2 discards all 3-interaction subgraphs.
-    assert(subs.forall(_.inters.size <= 2))
+    def kept(cap: Int) = SubgraphExtractor.extract(capNet, cap).collect().map(_.seed).toSet
+    assert(kept(5) === Set(1, 2, 3))
+    assert(kept(4) === Set(3))
+    assert(SubgraphExtractor.extract(net, 2).collect().isEmpty)
+  }
+
+  test("extracted interactions match the equivalent DuckDB join, seed split and cap (oracle)") {
+    val gen = NetworkGen.generate(spark, NetworkGen.ctuLike, 0.001)
+    for ((n, cap) <- Seq(capNet -> 5, gen -> 20)) {
+      val rows = SubgraphExtractor.taggedInteractions(n, cap)
+        .select(col("seed").cast("string") as "seed", col("src").cast("string") as "src",
+          col("dst").cast("string") as "dst", col("ts").cast("string") as "ts", col("qty"))
+      Oracle.assertEquivalent(rows,
+        s"""
+        WITH e AS (SELECT DISTINCT src, dst FROM net),
+        c2 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b
+               FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
+               WHERE e1.src <> e1.dst),
+        c3 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b, e2.dst AS c
+               FROM e e1
+               JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
+               JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
+               WHERE e1.src <> e1.dst AND e2.dst <> e1.dst),
+        arcs AS (SELECT DISTINCT seed, src, dst FROM (
+          SELECT seed, a AS src, b AS dst FROM c2
+          UNION ALL SELECT seed, b, a FROM c2
+          UNION ALL SELECT seed, a, b FROM c3
+          UNION ALL SELECT seed, b, c FROM c3
+          UNION ALL SELECT seed, c, a FROM c3
+        )),
+        tagged AS (SELECT a.seed, n.src, n.dst, n.ts, n.qty
+                   FROM arcs a JOIN net n ON a.src = n.src AND a.dst = n.dst),
+        kept AS (SELECT seed FROM tagged GROUP BY seed HAVING count(*) <= $cap)
+        SELECT t.seed,
+               CASE WHEN t.src = t.seed THEN '${SubgraphExtractor.SourceId}' ELSE t.src END AS src,
+               CASE WHEN t.dst = t.seed THEN '${SubgraphExtractor.SinkId}' ELSE t.dst END AS dst,
+               t.ts, CAST(t.qty AS DOUBLE) AS qty
+        FROM tagged t JOIN kept ON t.seed = kept.seed
+        """,
+        "net" -> n)
+    }
   }
 
   test("stats count vertices/edges on the unsplit subgraph") {

@@ -45,6 +45,12 @@ class HarnessSmokeSpec extends SparkSpec {
     assert(classes.subsetOf(Set("A", "B", "C")))
   }
 
+  test("FlowExperiment releases every cache it creates") {
+    spark.catalog.clearCache()
+    FlowExperiment.run(spark, FlowExperiment.Config("ctu13", 0.001, 500))
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
   test("PatternExperiment end-to-end on a tiny prosper network") {
     val report = PatternExperiment.run(spark,
       PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L, gbSlices = 4))

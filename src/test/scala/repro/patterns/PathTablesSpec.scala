@@ -3,6 +3,7 @@ package repro.patterns
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Greedy, Interaction}
+import repro.data.CyclePaths
 
 /** Tests for the precomputed path tables (Section 5.2): structure checked
   * against DuckDB joins, flows against the in-memory chain greedy.
@@ -29,8 +30,8 @@ class PathTablesSpec extends SparkSpec {
   private lazy val adj = AdjacencyIndex.fromInteractions(
     net.as[Interaction](org.apache.spark.sql.Encoders.product[Interaction]).collect().toSeq)
 
-  test("edgeInteractions aggregates and sorts per edge") {
-    val e12 = PathTables.edgeInteractions(net)
+  test("the edge table aggregates and sorts per edge") {
+    val e12 = CyclePaths.edges(net)
       .where(col("src") === 1 && col("dst") === 2)
       .select(col("es")).head().getSeq[org.apache.spark.sql.Row](0)
     assert(e12.map(_.getLong(0)) === Seq(1L, 7L))

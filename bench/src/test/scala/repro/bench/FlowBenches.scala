@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.FlowExperiment
+import repro.harness.{Defaults, FlowExperiment}
 
 /** Tables 5–8 — flow computation on extracted subgraphs: Greedy vs LP vs
   * Pre vs PreSim, per class A/B/C and per interaction bucket (Fig. 11's
@@ -12,7 +12,7 @@ import repro.harness.FlowExperiment
 abstract class FlowBenchBase(dataset: String) extends SparkSpec {
 
   test(s"flow computation methods on $dataset subgraphs") {
-    val cfg = FlowExperiment.Config(dataset, BenchConfig.sfFor(dataset), BenchConfig.maxInteractions)
+    val cfg = FlowExperiment.Config(dataset, Defaults.sf(dataset), Defaults.maxInteractions)
     val report = FlowExperiment.run(spark, cfg)
     println("\n=== " + s"Tables 5-8 block for $dataset" + " ===")
     println(report.render)

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.PatternExperiment
+import repro.harness.{Defaults, PatternExperiment}
 
 /** Tables 9–11 — pattern search: GB (distributed backtracking) vs PB
   * (precomputed path tables + joins), instances and average flows per
@@ -11,10 +11,11 @@ abstract class PatternBenchBase(dataset: String) extends SparkSpec {
 
   test(s"pattern search on $dataset") {
     val report = PatternExperiment.run(spark,
-      PatternExperiment.Config(dataset, BenchConfig.sfFor(dataset)))
+      PatternExperiment.Config(dataset, Defaults.sf(dataset)))
     println("\n=== " + s"Tables 9-11 block for $dataset" + " ===")
     println(report.render)
     assert(report.rows.nonEmpty)
+    assert(report.mismatches === 0L, "GB and PB disagree on an uncapped pattern")
     // The paper's headline shape: PB beats GB where GB's enumeration is
     // superlinear. P6 (pairs of 3-hop cycles) is the largest blow-up on
     // every dataset; GB is capped there, so compare its extrapolated

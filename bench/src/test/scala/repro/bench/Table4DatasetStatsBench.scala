@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.NetworkGen
-import repro.harness.Timing
+import repro.harness.{Defaults, Timing}
 
 /** Table 4 — characteristics of the (synthetic stand-in) datasets.
   *
@@ -15,7 +15,8 @@ import repro.harness.Timing
 class Table4DatasetStatsBench extends SparkSpec {
 
   test("Table 4: dataset characteristics") {
-    val rows = BenchConfig.all.map { case (spec, sf) =>
+    val rows = NetworkGen.all.map { spec =>
+      val sf = Defaults.sf(spec.name)
       val df = NetworkGen.generate(spark, spec, sf)
       val r  = NetworkGen.stats(df).head()
       Seq(spec.name, s"sf=$sf", r.getLong(0).toString, r.getLong(1).toString,

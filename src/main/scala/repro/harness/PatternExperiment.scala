@@ -45,7 +45,7 @@ object PatternExperiment {
       gbMs: Double,
       pbMs: Double,
       gbCapped: Boolean,
-      gbEstimated: Boolean = false,
+      gbEstimated: Boolean,
   )
 
   final case class Report(
@@ -54,6 +54,9 @@ object PatternExperiment {
       precomputeMs: Double,
       tableSizes: Map[String, Long],
       rows: Seq[PatternRow],
+      /** Rows where GB ran uncapped and its instance count or average flow
+        * differs from PB's (relative 1e-6): must be 0. */
+      mismatches: Long,
   ) {
     def render: String = {
       val header = Seq("Pattern", "Instances", "Avg flow", "GB (ms)", "PB (ms)")
@@ -71,6 +74,7 @@ object PatternExperiment {
          |${Timing.table(header, body)}
          |(* = GB enumeration capped; "est." = full GB time extrapolated from
          |the capped run, the paper's "15 days (est.)" protocol)
+         |GB vs PB mismatches: $mismatches
          |""".stripMargin
     }
   }
@@ -91,36 +95,28 @@ object PatternExperiment {
     val adjB   = spark.sparkContext.broadcast(adj)
     val vSlices = slices(adj.vertices, cfg.gbSlices)
 
-    def gbRigid(p: Pattern, cap: Long): (Long, Double, Double, Boolean) = {
+    /** GB over all slices: (instances, flow sum, capped) and its time in ms. */
+    def gb(perSlice: Array[Int] => (Long, Double, Boolean)): ((Long, Double, Boolean), Double) = {
+      val (res, ns) = Timing.timeNs {
+        spark.createDataset(vSlices).map(perSlice).collect()
+          .foldLeft((0L, 0.0, false)) { case ((a, b, c), (x, y, z)) => (a + x, b + y, c || z) }
+      }
+      (res, Timing.nsToMs(ns))
+    }
+
+    def rigid(p: Pattern, cap: Long): Array[Int] => (Long, Double, Boolean) = {
       val capPerTask = math.max(1L, cap / cfg.gbSlices)
-      val ((n, tot, capped), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val (n, f) = GraphBrowsing.enumerateWithFlow(adjB.value, p, capPerTask, Some(sl))
-          (n, f, n >= capPerTask)
-        }.collect().foldLeft((0L, 0.0, false)) { case ((a, b, c), (x, y, z)) => (a + x, b + y, c || z) }
+      sl => {
+        val (n, f) = GraphBrowsing.enumerateWithFlow(adjB.value, p, capPerTask, Some(sl))
+        (n, f, n >= capPerTask)
       }
-      (n, tot, Timing.nsToMs(ns), capped)
     }
 
-    def gbRelaxedCycles(hops: Int): (Long, Double, Double) = {
-      val ((n, tot), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val rs = GraphBrowsing.relaxedCycles(adjB.value, hops, Some(sl))
-          (rs.size.toLong, rs.map(_._3).sum)
-        }.collect().foldLeft((0L, 0.0)) { case ((a, b), (x, y)) => (a + x, b + y) }
+    def relaxed(rows: (AdjacencyIndex, Option[Array[Int]]) => Seq[(Any, Int, Double)]): Array[Int] => (Long, Double, Boolean) =
+      sl => {
+        val rs = rows(adjB.value, Some(sl))
+        (rs.size.toLong, rs.map(_._3).sum, false)
       }
-      (n, tot, Timing.nsToMs(ns))
-    }
-
-    def gbRelaxedChains(): (Long, Double, Double) = {
-      val ((n, tot), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val rs = GraphBrowsing.relaxedChains2(adjB.value, Some(sl))
-          (rs.size.toLong, rs.map(_._3).sum)
-        }.collect().foldLeft((0L, 0.0)) { case ((a, b), (x, y)) => (a + x, b + y) }
-      }
-      (n, tot, Timing.nsToMs(ns))
-    }
 
     // ---- PB side: precompute tables ----
     val withChains = cfg.dataset == "prosper"
@@ -133,59 +129,38 @@ object PatternExperiment {
     val (l2, l3, c2) = tables
     val tableSizes = Map("L2" -> l2.count(), "L3" -> l3.count()) ++ c2.map("C2" -> _.count())
 
-    def timed(f: => (Long, Double)): (Long, Double, Double) = {
-      val ((n, avg), ns) = Timing.timeNs(f)
-      (n, avg, Timing.nsToMs(ns))
+    var mismatches = 0L
+
+    /** One table row. Instances and average flow come from PB, which is
+      * exact except where `pbCapped` (P4: both sides stop at `p4Cap`). GB
+      * supplies its time, extrapolated by rate to PB's count when GB alone
+      * was capped (the paper's "15 days (est.)"); uncapped, GB must agree
+      * with PB.
+      */
+    def row(name: String, perSlice: Array[Int] => (Long, Double, Boolean), pbQ: => (Long, Double),
+            pbCapped: Boolean = false): PatternRow = {
+      val ((gn, gsum, gcap), gms) = gb(perSlice)
+      val ((pn, pavg), pns)       = Timing.timeNs(pbQ)
+      val gavg = if (gn == 0) 0.0 else gsum / gn
+      if (!gcap && (gn != pn || math.abs(gavg - pavg) > 1e-6 * math.max(1.0, math.abs(pavg)))) mismatches += 1
+      val estimated = gcap && !pbCapped
+      PatternRow(name, pn, pavg, if (estimated && gn > 0) gms * (pn.toDouble / gn) else gms,
+        Timing.nsToMs(pns), gbCapped = gcap || pbCapped, gbEstimated = estimated)
     }
 
-    val rows = scala.collection.mutable.ArrayBuffer.empty[PatternRow]
+    val rows = Seq(
+      Option.when(withChains)(row("P1", rigid(Patterns.P1, cfg.gbCap), PatternEnum.p1(c2.get))),
+      Some(row("P2", rigid(Patterns.P2, cfg.gbCap), PatternEnum.p2(l2))),
+      Some(row("P3", rigid(Patterns.P3, cfg.gbCap), PatternEnum.p3(l3))),
+      Some(row("P4", rigid(Patterns.P4, cfg.p4Cap), PatternEnum.p4Limited(net, cfg.p4Cap), pbCapped = true)),
+      Some(row("P5", rigid(Patterns.P5, cfg.gbCap), PatternEnum.p5(l2, l3))),
+      Some(row("P6", rigid(Patterns.P6, cfg.gbCap), PatternEnum.p6(l3))),
+      Option.when(withChains)(row("RP1", relaxed(GraphBrowsing.relaxedChains2), PatternEnum.rp1(c2.get))),
+      Some(row("RP2", relaxed(GraphBrowsing.relaxedCycles(_, 2, _)), PatternEnum.rp2(l2))),
+      Some(row("RP3", relaxed(GraphBrowsing.relaxedCycles(_, 3, _)), PatternEnum.rp3(l3))),
+    ).flatten
 
-    def addRigid(name: String, gbRes: (Long, Double, Double, Boolean), pb: => (Long, Double)): Unit = {
-      val (gn, gtot, gms, gcap) = gbRes
-      val (pn, pavg, pms)       = timed(pb)
-      if (gcap) {
-        // PB still has the exact count; extrapolate GB's full cost from its
-        // measured per-instance rate (the paper's "15 days (est.)").
-        val est = if (gn > 0) gms * (pn.toDouble / gn) else gms
-        rows += PatternRow(name, pn, pavg, est, pms, gbCapped = true, gbEstimated = true)
-      } else {
-        rows += PatternRow(name, gn, if (gn == 0) 0.0 else gtot / gn, gms, pms, gbCapped = false)
-      }
-    }
-
-    if (withChains) addRigid("P1", gbRigid(Patterns.P1, cfg.gbCap), PatternEnum.p1(c2.get))
-    addRigid("P2", gbRigid(Patterns.P2, cfg.gbCap), PatternEnum.p2(l2))
-    addRigid("P3", gbRigid(Patterns.P3, cfg.gbCap), PatternEnum.p3(l3))
-    // P4: both sides capped at p4Cap, like the paper's starred runs.
-    locally {
-      val g = gbRigid(Patterns.P4, cfg.p4Cap)
-      val (pn, pavg, pms) = timed {
-        val limited = PatternEnum.p4Limited(net, cfg.p4Cap)
-        limited
-      }
-      rows += PatternRow("P4", math.max(g._1, pn), if (pn > 0) pavg else g._2 / math.max(1L, g._1),
-        g._3, pms, gbCapped = true)
-    }
-    addRigid("P5", gbRigid(Patterns.P5, cfg.gbCap), PatternEnum.p5(l2, l3))
-    addRigid("P6", gbRigid(Patterns.P6, cfg.gbCap), PatternEnum.p6(l3))
-
-    if (withChains) {
-      val (gn, gtot, gms) = gbRelaxedChains()
-      val (pn, pavg, pms) = timed(PatternEnum.rp1(c2.get))
-      rows += PatternRow("RP1", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
-    }
-    locally {
-      val (gn, gtot, gms) = gbRelaxedCycles(2)
-      val (pn, pavg, pms) = timed(PatternEnum.rp2(l2))
-      rows += PatternRow("RP2", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
-    }
-    locally {
-      val (gn, gtot, gms) = gbRelaxedCycles(3)
-      val (pn, pavg, pms) = timed(PatternEnum.rp3(l3))
-      rows += PatternRow("RP3", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
-    }
-
-    val report = Report(cfg.dataset, cfg.sf, Timing.nsToMs(preNs), tableSizes, rows.toSeq)
+    val report = Report(cfg.dataset, cfg.sf, Timing.nsToMs(preNs), tableSizes, rows, mismatches)
     l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); net.unpersist(); adjB.destroy()
     report
   }

@@ -101,15 +101,13 @@ object GraphBrowsing {
     found
   }
 
-  /** The instance's flow graph over pattern-vertex ids (source and sink stay
-    * separate nodes even when their labels coincide — the cycle split).
-    */
-  def instanceGraph(adj: AdjacencyIndex, pattern: Pattern, mu: Array[Int]): FlowGraph = {
-    val edges = pattern.edges.map { case (u, w) =>
-      (u, w) -> adj.interactions(mu(u), mu(w))
-    }.toMap
-    FlowGraph.fromEdges(pattern.source, pattern.sink, edges)
-  }
+  /** Each pattern edge's interactions under the assignment `mu`, in `pattern.edges` order. */
+  private def edgeInteractions(adj: AdjacencyIndex, pattern: Pattern, mu: Array[Int]): Vector[Vector[(Long, Double)]] =
+    pattern.edges.map { case (u, w) => adj.interactions(mu(u), mu(w)) }
+
+  /** The flow graph of the instance `mu` (see [[Pattern.flowGraph]]). */
+  def instanceGraph(adj: AdjacencyIndex, pattern: Pattern, mu: Array[Int]): FlowGraph =
+    pattern.flowGraph(edgeInteractions(adj, pattern, mu))
 
   /** Enumerate instances and their maximum flows; returns (count, total flow). */
   def enumerateWithFlow(
@@ -125,55 +123,29 @@ object GraphBrowsing {
     (n, total)
   }
 
-  /** Non-rigid patterns (Section 5.3): all parallel `hops`-hop cycles at each
-    * start vertex `a` form one instance per `a`; its flow is the sum of the
-    * branch flows (each branch is a source chain — Lemma 3). Returns one
-    * `(a, branchCount, flow)` row per instance.
+  /** Non-rigid patterns (Section 5.3): the instances of the chain pattern
+    * `chain` that share a `key` form one instance; its flow is the sum of
+    * the branch flows (each branch is a source chain — Lemma 3). Returns one
+    * `(key, branchCount, flow)` row per key, in order of first appearance.
     */
-  def relaxedCycles(adj: AdjacencyIndex, hops: Int, startVertices: Option[Array[Int]] = None): Seq[(Int, Int, Double)] = {
-    require(hops == 2 || hops == 3, "only 2- and 3-hop relaxed cycles are defined")
-    val starts = startVertices.getOrElse(adj.vertices)
-    starts.iterator.flatMap { a =>
-      var branches = 0
-      var flow     = 0.0
-      adj.outOf(a).foreach { b =>
-        if (b != a) {
-          if (hops == 2) {
-            if (java.util.Arrays.binarySearch(adj.outOf(b), a) >= 0) {
-              branches += 1
-              flow += Greedy.chain(Seq(adj.interactions(a, b), adj.interactions(b, a))).flow
-            }
-          } else {
-            adj.outOf(b).foreach { c =>
-              if (c != a && c != b && java.util.Arrays.binarySearch(adj.outOf(c), a) >= 0) {
-                branches += 1
-                flow += Greedy.chain(Seq(adj.interactions(a, b), adj.interactions(b, c), adj.interactions(c, a))).flow
-              }
-            }
-          }
-        }
-      }
-      if (branches > 0) Some((a, branches, flow)) else None
-    }.toVector
-  }
-
-  /** Non-rigid parallel 2-hop chains `a→*→c` (RP1): one instance per
-    * `(a, c)` pair, flow = sum of chain flows.
-    */
-  def relaxedChains2(adj: AdjacencyIndex, startVertices: Option[Array[Int]] = None): Seq[((Int, Int), Int, Double)] = {
-    val starts = startVertices.getOrElse(adj.vertices)
-    val acc    = mutable.Map.empty[(Int, Int), (Int, Double)]
-    starts.foreach { a =>
-      adj.outOf(a).foreach { b =>
-        if (b != a) adj.outOf(b).foreach { c =>
-          if (c != a && c != b) {
-            val f    = Greedy.chain(Seq(adj.interactions(a, b), adj.interactions(b, c))).flow
-            val prev = acc.getOrElse((a, c), (0, 0.0))
-            acc((a, c)) = (prev._1 + 1, prev._2 + f)
-          }
-        }
-      }
+  private def relaxed[K](adj: AdjacencyIndex, chain: Pattern, key: Array[Int] => K,
+                         startVertices: Option[Array[Int]]): Seq[(K, Int, Double)] = {
+    val acc = mutable.LinkedHashMap.empty[K, (Int, Double)]
+    enumerate(adj, chain, startVertices = startVertices) { mu =>
+      val k         = key(mu)
+      val (n, flow) = acc.getOrElse(k, (0, 0.0))
+      acc(k) = (n + 1, flow + Greedy.chain(edgeInteractions(adj, chain, mu)).flow)
     }
     acc.iterator.map { case (k, (n, f)) => (k, n, f) }.toVector
   }
+
+  /** RP2/RP3: one `(a, branchCount, flow)` row per `a` on a `hops`-hop cycle. */
+  def relaxedCycles(adj: AdjacencyIndex, hops: Int, startVertices: Option[Array[Int]] = None): Seq[(Int, Int, Double)] = {
+    require(hops == 2 || hops == 3, "only 2- and 3-hop relaxed cycles are defined")
+    relaxed(adj, if (hops == 2) Patterns.Cycle2 else Patterns.P3, _(0), startVertices)
+  }
+
+  /** RP1: parallel 2-hop chains `a→*→c`, one instance per `(a, c)` pair. */
+  def relaxedChains2(adj: AdjacencyIndex, startVertices: Option[Array[Int]] = None): Seq[((Int, Int), Int, Double)] =
+    relaxed(adj, Patterns.P1, mu => (mu(0), mu(2)), startVertices)
 }

@@ -1,5 +1,7 @@
 package repro.patterns
 
+import repro.core.FlowGraph
+
 /** A network pattern (Definition 2): a DAG whose vertex labels encode only
   * equality constraints — equal labels must map to the same graph vertex,
   * distinct labels to distinct vertices (Definition 3). The graph itself is
@@ -29,6 +31,13 @@ final case class Pattern(
 
   /** Pattern edges entering `p` from earlier vertices (the browsing frontier). */
   def predecessors(p: Int): Vector[Int] = edges.collect { case (u, v) if v == p => u }
+
+  /** An instance's flow graph over pattern-vertex ids, given each edge's
+    * interactions in `edges` order (source and sink stay separate nodes even
+    * when their labels coincide — the cycle split).
+    */
+  def flowGraph(interactions: Seq[Seq[(Long, Double)]]): FlowGraph =
+    FlowGraph.fromEdges(source, sink, edges.zip(interactions).toMap)
 }
 
 /** The reconstructed pattern set of Figure 12 (the figure itself is absent
@@ -38,6 +47,9 @@ object Patterns {
 
   /** P1 — 2-hop chain `a→b→c`, all vertices distinct. */
   val P1: Pattern = Pattern("P1", labels = Vector(0, 1, 2), edges = Vector((0, 1), (1, 2)), source = 0, sink = 2)
+
+  /** 2-hop cycle `a→b→a`: the branch of P2 and of RP2. */
+  val Cycle2: Pattern = Pattern("Cycle2", labels = Vector(0, 1, 0), edges = Vector((0, 1), (1, 2)), source = 0, sink = 2)
 
   /** P2 — two parallel 2-hop cycles `a→b→a`, `a→c→a` (Fig. 9(a), 2nd). */
   val P2: Pattern = Pattern(

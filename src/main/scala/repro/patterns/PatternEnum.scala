@@ -2,7 +2,7 @@ package repro.patterns
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
-import repro.core.{FlowGraph, FlowPipeline}
+import repro.core.FlowPipeline
 import repro.data.CyclePaths
 import repro.data.CyclePaths.TsQty
 
@@ -49,12 +49,13 @@ object PatternEnum {
   /** P3 — 3-hop cycles: a straight scan of L3. */
   def p3(l3: DataFrame): (Long, Double) = countAvg(l3, "flow")
 
-  /** Raw interaction arrays of one P4 instance (public: Spark codegen needs
-    * access to the encoder's target class).
+  /** One P4 instance: its vertices and raw interaction arrays, one per edge
+    * of `Patterns.P4.edges` and in that order (public: Spark codegen needs
+    * access to the encoder's target class). The vertex columns also keep the
+    * join plan, and so the instances a cap keeps: without them the
+    * `Defaults` ctu13 network's capped P4 keeps other instances.
     */
-  final case class P4Row(
-      a: Int, b: Int, c: Int,
-      e1: Seq[TsQty], e2: Seq[TsQty], e3: Seq[TsQty], e4: Seq[TsQty], e5: Seq[TsQty])
+  final case class P4Row(a: Int, b: Int, c: Int, es: Seq[Seq[TsQty]])
 
   /** P4 — 3-hop cycle plus chords `a→c`, `b→a`. The chords couple the paths,
     * so precomputed flows are unusable: each instance's raw interactions are
@@ -65,23 +66,16 @@ object PatternEnum {
     val spark = net.sparkSession
     import spark.implicits._
     val e = CyclePaths.edges(net)
+    // e1 = a→b, e2 = b→c, e3 = c→a, e4 = a→c, e5 = b→a.
     val joined0 = CyclePaths.cycles3(e)
       .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
       .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")
-      .select(
-        $"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",
-        $"e1.es" as "e1", $"e2.es" as "e2", $"e3.es" as "e3", $"e4.es" as "e4", $"e5.es" as "e5",
-      )
+      .select($"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",
+        array($"e1.es", $"e4.es", $"e2.es", $"e5.es", $"e3.es") as "es")
       .as[P4Row]
     val joined = cap.fold(joined0)(c => joined0.limit(c.toInt))
     val flows: Dataset[Double] = joined.map { r =>
-      // Pattern vertex ids: 0=a, 1=b, 2=c, 3=a' (split sink).
-      def es(s: Seq[TsQty]) = s.map(t => (t.ts, t.qty))
-      val g = FlowGraph.fromEdges(0, 3, Map(
-        (0, 1) -> es(r.e1), (1, 2) -> es(r.e2), (2, 3) -> es(r.e3),
-        (0, 2) -> es(r.e4), (1, 3) -> es(r.e5),
-      ))
-      FlowPipeline.preSim(g).flow
+      FlowPipeline.preSim(Patterns.P4.flowGraph(r.es.map(_.map(t => (t.ts, t.qty))))).flow
     }
     countAvg(flows.toDF("flow"), "flow")
   }

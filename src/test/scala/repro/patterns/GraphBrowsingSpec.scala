@@ -19,12 +19,13 @@ class GraphBrowsingSpec extends SparkSpec {
   ))
 
   /** Two 2-cycles and one 3-cycle off vertex 1, plus chords for P4. */
-  private val multi = AdjacencyIndex.fromInteractions(Seq(
+  private val multiInteractions = Seq(
     Interaction(1, 2, 1L, 5.0), Interaction(2, 1, 2L, 4.0),
     Interaction(1, 3, 3L, 6.0), Interaction(3, 1, 4L, 5.0),
     Interaction(1, 4, 5L, 7.0), Interaction(4, 5, 6L, 6.0), Interaction(5, 1, 7L, 5.0),
     Interaction(1, 5, 8L, 2.0), Interaction(4, 1, 9L, 3.0),
-  ))
+  )
+  private val multi = AdjacencyIndex.fromInteractions(multiInteractions)
 
   test("P3 finds the three rotations of the 3-hop cycle in fig2") {
     // Each rotation is a distinct instance: the source (hence the flow)
@@ -135,5 +136,27 @@ class GraphBrowsingSpec extends SparkSpec {
       (0, 5) -> multi.interactions(1, 5), (5, 9) -> multi.interactions(5, 1),
     ))
     assert(math.abs(FlowPipeline.preSim(union).flow - at1._3) < 1e-9)
+  }
+
+  test("relaxed patterns ignore self-loops: GB == PB on multi plus loops 1→1 and 2→2") {
+    val s = spark
+    import s.implicits._
+    val inters = multiInteractions ++ Seq(Interaction(1, 1, 3L, 8.0), Interaction(2, 2, 1L, 9.0))
+    val adj    = AdjacencyIndex.fromInteractions(inters)
+    val net    = inters.toDF()
+    def agree(name: String, gb: Seq[(Any, Int, Double)], pb: (Long, Double)): Unit = {
+      assert(gb.size.toLong === pb._1, s"$name instance counts differ")
+      assert(math.abs(gb.map(_._3).sum / gb.size - pb._2) < 1e-6 * math.max(1.0, pb._2), s"$name avg flows differ")
+    }
+    agree("RP1", GraphBrowsing.relaxedChains2(adj), PatternEnum.rp1(PathTables.c2(net)))
+    agree("RP2", GraphBrowsing.relaxedCycles(adj, 2), PatternEnum.rp2(PathTables.l2(net)))
+    agree("RP3", GraphBrowsing.relaxedCycles(adj, 3), PatternEnum.rp3(PathTables.l3(net)))
+    // The loops add no branch: multi's values at vertex 1 are unchanged.
+    val rp2At1 = GraphBrowsing.relaxedCycles(adj, 2).find(_._1 == 1).get
+    assert(rp2At1._2 === 4)
+    assert(math.abs(rp2At1._3 - 12.0) < 1e-9)
+    val rp3At1 = GraphBrowsing.relaxedCycles(adj, 3).find(_._1 == 1).get
+    assert(rp3At1._2 === 1)
+    assert(math.abs(rp3At1._3 - 5.0) < 1e-9)
   }
 }

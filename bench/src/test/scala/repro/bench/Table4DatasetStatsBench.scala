@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.NetworkGen
 import repro.harness.{Defaults, Timing}
+import repro.jobs.DatasetStats
 
 /** Table 4 — characteristics of the (synthetic stand-in) datasets.
   *
@@ -15,15 +15,9 @@ import repro.harness.{Defaults, Timing}
 class Table4DatasetStatsBench extends SparkSpec {
 
   test("Table 4: dataset characteristics") {
-    val rows = NetworkGen.all.map { spec =>
-      val sf = Defaults.sf(spec.name)
-      val df = NetworkGen.generate(spark, spec, sf)
-      val r  = NetworkGen.stats(df).head()
-      Seq(spec.name, s"sf=$sf", r.getLong(0).toString, r.getLong(1).toString,
-          r.getLong(2).toString, f"${r.getDouble(3)}%.2f")
-    }
+    val rows = DatasetStats.rows(spark, Defaults.sf)
     println("\n=== Table 4: Characteristics of datasets (synthetic stand-ins) ===")
-    println(Timing.table(Seq("Dataset", "scale", "#nodes", "#edges", "#interactions", "avg flow"), rows))
+    println(Timing.table(DatasetStats.header, rows))
     assert(rows.size === 3)
   }
 }

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** The network's ≤3-hop paths through pairwise-distinct vertices, as
   * self-joins of an edge DataFrame with `src`/`dst` columns — the one
@@ -20,10 +21,18 @@ object CyclePaths {
 
   /** The network's one per-edge table `(src, dst, es)`: `es` is the edge's
     * timestamp-sorted `array<struct<ts,qty>>`, `size(es)` its interaction count.
+    * The table caches itself on first use, so every reader of one network
+    * (extraction, the path tables, P4) shares one aggregation; [[release]]
+    * frees it.
     */
-  def edges(net: DataFrame): DataFrame =
-    net.groupBy(col("src"), col("dst"))
+  def edges(net: DataFrame): DataFrame = {
+    val e = net.groupBy(col("src"), col("dst"))
       .agg(sort_array(collect_list(struct(col("ts"), col("qty")))) as "es")
+    if (e.storageLevel == StorageLevel.NONE) e.cache() else e
+  }
+
+  /** Frees the edge table that [[edges]] cached for `net`. */
+  def release(net: DataFrame): Unit = edges(net).unpersist()
 
   /** 2-hop cycles `a→b→a`, `a≠b`. */
   def cycles2(e: DataFrame): DataFrame =

@@ -14,13 +14,12 @@ import scala.collection.mutable
   * form a single subgraph." — i.e. for every seed `a`, the union of the arcs
   * of all 2-hop cycles `a→b→a` and 3-hop cycles `a→b→c→a`.
   *
-  * It runs over the network's per-edge table [[CyclePaths.edges]], cached
-  * once per network: cycles are enumerated on its `(src, dst)` ids alone
-  * (self-join sizes stay bounded by structural degrees), the arcs are joined
-  * to the table once, and one regroup by seed assembles each subgraph, with
-  * the seed split into a source (its outgoing interactions) and a sink (its
-  * incoming ones) — Section 3 allows source == sink, and this is the standard
-  * reduction. Subgraphs with more than `maxInteractions` interactions are
+  * It runs over the network's cached per-edge table [[CyclePaths.edges]]:
+  * cycles are enumerated on its `(src, dst)` ids alone (self-join sizes stay
+  * bounded by structural degrees), the arcs are joined to the table once,
+  * and one regroup by seed assembles each subgraph, with the seed split into
+  * a source (its outgoing interactions) and a sink (its incoming ones) —
+  * Section 3 allows source == sink, and this is the standard reduction. Subgraphs with more than `maxInteractions` interactions are
   * discarded, like the paper's 10K cap (our LP substrate is a dense simplex,
   * so the default cap is lower; DESIGN.md §3).
   */
@@ -38,9 +37,6 @@ object SubgraphExtractor {
     def toFlowGraph: FlowGraph = FlowGraph(SourceId, SinkId, inters)
   }
 
-  /** Frees the edge table that [[cycleArcs]] and [[extract]] cache for `net`. */
-  def release(net: DataFrame): Unit = CyclePaths.edges(net).unpersist()
-
   /** Arcs `(seed, src, dst)` of the ≤3-hop cycles through `seed` over the ids
     * of `e`, one row per cycle edge `e1..ek`, seeded at `e1.src`.
     */
@@ -55,7 +51,7 @@ object SubgraphExtractor {
   }
 
   /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct. */
-  def cycleArcs(net: DataFrame): DataFrame = arcs(CyclePaths.edges(net).cache()).distinct()
+  def cycleArcs(net: DataFrame): DataFrame = arcs(CyclePaths.edges(net)).distinct()
 
   /** [[extract]]'s subgraphs, one row per interaction. */
   def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] =
@@ -70,7 +66,7 @@ object SubgraphExtractor {
   def extract(net: DataFrame, maxInteractions: Int): Dataset[Subgraph] = {
     val spark = net.sparkSession
     import spark.implicits._
-    val e = CyclePaths.edges(net).cache()
+    val e = CyclePaths.edges(net)
     arcs(e).join(e, Seq("src", "dst")).select("seed", "src", "dst", "es").as[(Int, Int, Int, Seq[TsQty])]
       .groupByKey(_._1).flatMapGroups { (seed, rows) =>
         val seen   = mutable.HashSet.empty[(Int, Int)]

@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.data.NetworkGen
+import repro.data.{CyclePaths, NetworkGen}
 import repro.patterns._
 
 /** The pattern-search experiment of Section 6.3 (Tables 9, 10, 11): for each
@@ -13,8 +13,9 @@ import repro.patterns._
   *    index), and
   *  - '''PB''' — the precomputation-based approach (Section 5.2): L2/L3
   *    cycle tables (and C2 chains for the Prosper-like network) materialised
-  *    once, then each pattern answered by Catalyst joins/aggregations over
-  *    the tables; only P4 needs per-instance LP flows.
+  *    once from the network's cached edge table, then each pattern answered
+  *    by Catalyst joins/aggregations over the tables; only P4 needs
+  *    per-instance LP flows, and it reads the same edge table.
   *
   * Both run on the same local[*] session, so the GB-vs-PB comparison is
   * core-for-core fair. Patterns whose GB enumeration would be unbounded at
@@ -161,7 +162,7 @@ object PatternExperiment {
     ).flatten
 
     val report = Report(cfg.dataset, cfg.sf, Timing.nsToMs(preNs), tableSizes, rows, mismatches)
-    l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); net.unpersist(); adjB.destroy()
+    l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); CyclePaths.release(net); net.unpersist(); adjB.destroy()
     report
   }
 }

@@ -9,11 +9,9 @@ import scala.collection.mutable
   */
 final class AdjacencyIndex(edges: Map[(Int, Int), Vector[(Long, Double)]]) extends Serializable {
   private val out = FlowGraph.neighbours(edges.keys)
-  private val in  = FlowGraph.neighbours(edges.keys.view.map(_.swap))
-  val vertices: Array[Int] = (out.keySet ++ in.keySet).toArray.sorted
+  val vertices: Array[Int] = edges.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
 
   def outOf(v: Int): Array[Int]              = out.getOrElse(v, Array.empty)
-  def inOf(v: Int): Array[Int]               = in.getOrElse(v, Array.empty)
   def interactions(a: Int, b: Int): Vector[(Long, Double)] = edges.getOrElse((a, b), Vector.empty)
 }
 
@@ -23,11 +21,11 @@ object AdjacencyIndex {
 }
 
 /** Graph browsing (Section 5.1): enumerate pattern instances by mapping the
-  * pattern's vertices in topological order with backtracking, verifying the
-  * structural and label (μ) constraints at each expansion, then compute each
-  * instance's maximum flow with the Section 4 machinery (PreSim — for
-  * greedy-soluble instances this degenerates to the incremental greedy
-  * computation the paper describes).
+  * pattern's vertices in topological order with backtracking, extending a
+  * partial match only through vertices that satisfy the pattern's edges and
+  * label (μ) constraints, then compute each instance's maximum flow with the
+  * Section 4 machinery (PreSim — for greedy-soluble instances this
+  * degenerates to the incremental greedy computation the paper describes).
   */
 object GraphBrowsing {
 
@@ -46,7 +44,12 @@ object GraphBrowsing {
     val mu      = Array.fill(k)(-1)
     var found   = 0L
     val preds   = Array.tabulate(k)(pattern.predecessors)
-    val sameAs  = Array.tabulate(k) { p => // earliest earlier vertex with equal label, or -1
+    // A vertex whose label an earlier one carries is forced to that vertex's
+    // image (`forcedBy`), which already differs from every other label's and
+    // needs only its edges checked. Any other vertex takes the start vertices
+    // or the intersection of its predecessors' out-lists, which satisfy its
+    // edges, so `ok` only checks that the candidate is new.
+    val forcedBy = Array.tabulate(k) { p =>
       (0 until p).find(q => pattern.labels(q) == pattern.labels(p)).getOrElse(-1)
     }
     val symPred = Array.tabulate(k) { p => // q with (q, p) in symmetry, q < p
@@ -54,26 +57,18 @@ object GraphBrowsing {
     }
 
     def candidates(p: Int): Array[Int] =
-      if (sameAs(p) >= 0) Array(mu(sameAs(p))) // forced by label equality
-      else if (preds(p).isEmpty) startVertices.getOrElse(adj.vertices)
-      else {
-        // intersect out-neighbour lists of mapped predecessors
-        val lists = preds(p).map(u => adj.outOf(mu(u)))
-        var base  = lists.minBy(_.length)
-        lists.foreach { l => if (l ne base) base = base.filter(v => java.util.Arrays.binarySearch(l, v) >= 0) }
-        base
-      }
+      if (forcedBy(p) >= 0) {
+        val v = mu(forcedBy(p))
+        if (preds(p).forall(u => java.util.Arrays.binarySearch(adj.outOf(mu(u)), v) >= 0)) Array(v)
+        else Array.emptyIntArray
+      } else if (preds(p).isEmpty) startVertices.getOrElse(adj.vertices)
+      else preds(p).map(u => adj.outOf(mu(u))).sortBy(_.length) // the shortest list, filtered by the rest
+        .reduceLeft((base, l) => base.filter(v => java.util.Arrays.binarySearch(l, v) >= 0))
 
-    def ok(p: Int, v: Int): Boolean = {
-      // structural: every pattern edge (u, p), u mapped, must exist in G
-      val structural = preds(p).forall(u => java.util.Arrays.binarySearch(adj.outOf(mu(u)), v) >= 0)
-      // label: distinct labels => distinct vertices; equal labels => equal vertex
-      val labelOk = (0 until p).forall { q =>
-        if (pattern.labels(q) == pattern.labels(p)) mu(q) == v else mu(q) != v
-      }
-      val symOk = symPred(p).forall(q => mu(q) < v)
-      structural && labelOk && symOk
-    }
+    def isNew(p: Int, v: Int): Boolean = { var q = 0; while (q < p && mu(q) != v) q += 1; q == p }
+
+    def ok(p: Int, v: Int): Boolean =
+      (forcedBy(p) >= 0 || isNew(p, v)) && symPred(p).forall(q => mu(q) < v)
 
     def rec(p: Int): Boolean = { // returns false to stop (cap reached)
       if (p == k) {

@@ -1,6 +1,6 @@
 package repro.patterns
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.core.Greedy
@@ -22,46 +22,36 @@ import repro.data.CyclePaths.TsQty
   * reduced edge's interaction sequence), so flows of patterns whose paths are
   * independent are sums/merges of table rows with no further flow
   * computation. All tables are DataFrames produced by Catalyst joins over
-  * the per-edge table `CyclePaths.edges`.
+  * the network's cached per-edge table `CyclePaths.edges`.
   */
 object PathTables {
 
   final case class ChainOut(flow: Double, arrivals: Seq[TsQty])
 
-  private def rowsToSeq(rows: Seq[Row]): Seq[(Long, Double)] =
-    rows.map(r => (r.getLong(0), r.getDouble(1)))
-
-  private def chainResult(seqs: Seq[Seq[(Long, Double)]]): ChainOut = {
-    val res = Greedy.chain(seqs)
+  /** Greedy chain reduction over an `array` of consecutive edges' interactions. */
+  private val chain: UserDefinedFunction = udf { (es: Seq[Seq[TsQty]]) =>
+    val res = Greedy.chain(es.map(_.map(t => (t.ts, t.qty))))
     ChainOut(res.flow, res.sinkArrivals.map { case (t, q) => TsQty(t, q) })
   }
 
-  /** Greedy chain reduction over two consecutive edges' interactions. */
-  val chain2: UserDefinedFunction =
-    udf((e1: Seq[Row], e2: Seq[Row]) => chainResult(Seq(rowsToSeq(e1), rowsToSeq(e2))))
-
-  /** Greedy chain reduction over three consecutive edges' interactions. */
-  val chain3: UserDefinedFunction =
-    udf((e1: Seq[Row], e2: Seq[Row], e3: Seq[Row]) =>
-      chainResult(Seq(rowsToSeq(e1), rowsToSeq(e2), rowsToSeq(e3))))
+  /** The chain of edges `e1 .. ek` of a path join, reduced. */
+  private def reduced(k: Int) = chain(array((1 to k).map(i => col(s"e$i.es")): _*)) as "r"
 
   /** 2-hop cycle table: `(a, b, flow, arrivals)`. */
   def l2(net: DataFrame): DataFrame =
     CyclePaths.cycles2(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", chain2(col("e1.es"), col("e2.es")) as "r")
+      .select(col("e1.src") as "a", col("e1.dst") as "b", reduced(2))
       .select(col("a"), col("b"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
 
   /** 3-hop cycle table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
   def l3(net: DataFrame): DataFrame =
     CyclePaths.cycles3(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
-        chain3(col("e1.es"), col("e2.es"), col("e3.es")) as "r")
+      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c", reduced(3))
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
 
   /** 2-hop chain table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
   def c2(net: DataFrame): DataFrame =
     CyclePaths.chains2(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c",
-        chain2(col("e1.es"), col("e2.es")) as "r")
+      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c", reduced(2))
       .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
 }

@@ -51,37 +51,37 @@ object PatternEnum {
 
   /** One P4 instance: its vertices and raw interaction arrays, one per edge
     * of `Patterns.P4.edges` and in that order (public: Spark codegen needs
-    * access to the encoder's target class). The vertex columns also keep the
-    * join plan, and so the instances a cap keeps: without them the
-    * `Defaults` ctu13 network's capped P4 keeps other instances.
+    * access to the encoder's target class). The vertices are the key a cap
+    * selects by.
     */
   final case class P4Row(a: Int, b: Int, c: Int, es: Seq[Seq[TsQty]])
 
   /** P4 — 3-hop cycle plus chords `a→c`, `b→a`. The chords couple the paths,
     * so precomputed flows are unusable: each instance's raw interactions are
     * gathered and the max flow runs through the Section 4 pipeline
-    * (PreSim → LP) per instance.
+    * (PreSim → LP) per instance. With a `cap`, the `cap` instances with the
+    * smallest `(a, b, c)` are kept (a top-k, not a full sort of the join).
     */
   def p4(net: DataFrame, cap: Option[Long] = None): (Long, Double) = {
     val spark = net.sparkSession
     import spark.implicits._
     val e = CyclePaths.edges(net)
     // e1 = a→b, e2 = b→c, e3 = c→a, e4 = a→c, e5 = b→a.
-    val joined0 = CyclePaths.cycles3(e)
+    val joined = CyclePaths.cycles3(e)
       .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
       .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")
       .select($"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",
         array($"e1.es", $"e4.es", $"e2.es", $"e5.es", $"e3.es") as "es")
-      .as[P4Row]
-    val joined = cap.fold(joined0)(c => joined0.limit(c.toInt))
-    val flows: Dataset[Double] = joined.map { r =>
+    val kept = cap.fold(joined)(c => joined.orderBy($"a", $"b", $"c").limit(c.toInt))
+    val flows: Dataset[Double] = kept.as[P4Row].map { r =>
       FlowPipeline.preSim(Patterns.P4.flowGraph(r.es.map(_.map(t => (t.ts, t.qty))))).flow
     }
     countAvg(flows.toDF("flow"), "flow")
   }
 
-  /** P4 capped at the first `cap` instances (the paper's starred protocol:
-    * "search … was terminated after finding the first 3000 instances").
+  /** P4 capped at `cap` instances, those with the smallest `(a, b, c)` (the
+    * paper's starred protocol: "search … was terminated after finding the
+    * first 3000 instances").
     */
   def p4Limited(net: DataFrame, cap: Long): (Long, Double) = p4(net, Some(cap))
 

@@ -51,6 +51,13 @@ class HarnessSmokeSpec extends SparkSpec {
     assert(spark.sharedState.cacheManager.isEmpty)
   }
 
+  test("PatternExperiment releases every cache it creates") {
+    spark.catalog.clearCache()
+    PatternExperiment.run(spark,
+      PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L, gbSlices = 4))
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
   test("PatternExperiment end-to-end on a tiny prosper network") {
     val report = PatternExperiment.run(spark,
       PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L, gbSlices = 4))

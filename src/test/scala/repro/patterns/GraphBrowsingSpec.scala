@@ -159,4 +159,40 @@ class GraphBrowsingSpec extends SparkSpec {
     assert(rp3At1._2 === 1)
     assert(math.abs(rp3At1._3 - 5.0) < 1e-9)
   }
+
+  /** Every assignment of `p`'s vertices to `0 until n` that a brute-force
+    * check accepts: every pattern edge is present, equal labels map to equal
+    * vertices and distinct labels to distinct ones, and symmetry pairs are
+    * ascending. A vertex without predecessors ranges over `start`.
+    */
+  private def bruteForce(edges: Set[(Int, Int)], n: Int, p: Pattern, start: Seq[Int]): Seq[Seq[Int]] = {
+    val domains = (0 until p.numVertices).map(v => if (p.predecessors(v).isEmpty) start else 0 until n)
+    domains.foldLeft(Seq(Seq.empty[Int]))((acc, d) => for (mu <- acc; v <- d) yield mu :+ v).filter { mu =>
+      p.edges.forall { case (u, w) => edges((mu(u), mu(w))) } &&
+      mu.indices.forall(q => mu.indices.forall(r => (p.labels(q) == p.labels(r)) == (mu(q) == mu(r)))) &&
+      p.symmetry.forall { case (q, r) => mu(q) < mu(r) }
+    }
+  }
+
+  test("property: enumerate returns exactly the brute-force assignments (P1–P6, Cycle2)") {
+    val rnd = new scala.util.Random(11)
+    var loops, twoCycles = 0
+    for (_ <- 0 until 150) {
+      val n     = 1 + rnd.nextInt(6)
+      val edges = (for (a <- 0 until n; b <- 0 until n if rnd.nextDouble() < 0.4) yield (a, b)).toSet
+      loops += edges.count { case (a, b) => a == b }
+      twoCycles += edges.count { case (a, b) => a < b && edges((b, a)) }
+      val adj   = AdjacencyIndex.fromInteractions(edges.toSeq.map { case (a, b) => Interaction(a, b, 1L, 1.0) })
+      val start = (0 until n).filter(_ => rnd.nextBoolean())
+      for (p <- Patterns.rigid :+ Patterns.Cycle2; sv <- Seq(None, Some(start.toArray))) {
+        val got = Vector.newBuilder[Seq[Int]]
+        val cnt = GraphBrowsing.enumerate(adj, p, startVertices = sv)(mu => got += mu.toSeq)
+        val want = bruteForce(edges, n, p, sv.fold(0 until n: Seq[Int])(_.toSeq))
+        val ord  = Ordering.Implicits.seqOrdering[Seq, Int]
+        assert(got.result().sorted(ord) === want.sorted(ord), s"${p.name} start=${sv.map(_.toSeq)} edges=$edges")
+        assert(cnt === want.size.toLong)
+      }
+    }
+    assert(loops > 0 && twoCycles > 0, "the samples must contain self-loops and 2-cycles")
+  }
 }

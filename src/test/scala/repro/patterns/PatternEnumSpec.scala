@@ -3,7 +3,7 @@ package repro.patterns
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.Interaction
+import repro.core.{FlowPipeline, Interaction}
 import repro.data.NetworkGen
 
 /** The PB join-based pattern enumeration must agree with the GB
@@ -154,6 +154,30 @@ class PatternEnumSpec extends SparkSpec {
       SELECT COUNT(DISTINCT a) AS n FROM l2
       """,
       "net" -> net)
+  }
+
+  test("p4Limited keeps the k smallest-(a, b, c) instances of GB's uncapped P4") {
+    val s = spark
+    import s.implicits._
+    // A complete digraph on 4 vertices: each of the 24 ordered triples is a
+    // P4 instance, and random quantities and times give them differing flows.
+    val rnd    = new scala.util.Random(5)
+    val pairs  = for (a <- 1 to 4; b <- 1 to 4 if a != b; _ <- 0 to rnd.nextInt(2)) yield (a, b)
+    val times  = rnd.shuffle(pairs.indices.toVector)
+    val inters = pairs.zip(times).map { case ((a, b), t) => Interaction(a, b, t.toLong, (1 + rnd.nextInt(9)).toDouble) }
+    val k4     = AdjacencyIndex.fromInteractions(inters)
+    val flows  = scala.collection.mutable.ArrayBuffer.empty[(Seq[Int], Double)]
+    GraphBrowsing.enumerate(k4, Patterns.P4) { mu =>
+      flows += ((mu.take(3).toSeq, FlowPipeline.preSim(GraphBrowsing.instanceGraph(k4, Patterns.P4, mu)).flow))
+    }
+    assert(flows.size === 24)
+    val sorted = flows.sortBy(_._1)(Ordering.Implicits.seqOrdering[Seq, Int])
+    for (k <- Seq(1, 6, 23, 24)) {
+      val kept     = sorted.take(k).map(_._2)
+      val (n, avg) = PatternEnum.p4Limited(inters.toDF(), k.toLong)
+      assert(n === k.toLong)
+      assert(math.abs(avg - kept.sum / k) <= 1e-9 * math.max(1.0, math.abs(avg)), s"k = $k")
+    }
   }
 
   test("p4Limited caps the instance count") {

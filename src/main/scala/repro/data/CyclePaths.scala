@@ -6,8 +6,7 @@ import org.apache.spark.storage.StorageLevel
 
 /** The network's ≤3-hop paths through pairwise-distinct vertices, as
   * self-joins of an edge DataFrame with `src`/`dst` columns — the one
-  * definition behind Section 6.2's seed cycles and Section 5.2's L2/L3/C2
-  * path tables.
+  * definition behind Section 5.2's L2/L3/C2 path tables and P4.
   *
   * Every result is the join itself: the k-th edge of a path stays aliased
   * `ek` (`e1.src` is the path's first vertex), so the caller selects
@@ -22,8 +21,7 @@ object CyclePaths {
   /** The network's one per-edge table `(src, dst, es)`: `es` is the edge's
     * timestamp-sorted `array<struct<ts,qty>>`, `size(es)` its interaction count.
     * The table caches itself on first use, so every reader of one network
-    * (extraction, the path tables, P4) shares one aggregation; [[release]]
-    * frees it.
+    * (the path tables, P4) shares one aggregation; [[release]] frees it.
     */
   def edges(net: DataFrame): DataFrame = {
     val e = net.groupBy(col("src"), col("dst"))

@@ -1,12 +1,14 @@
 package repro.data
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders}
 import org.apache.spark.sql.functions._
 import repro.core.{FlowGraph, Interaction}
-import repro.data.CyclePaths.TsQty
+import repro.patterns.{AdjacencyIndex, GraphBrowsing, Patterns}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
-/** Section 6.2's subgraph extraction protocol, as Spark dataflow.
+/** Section 6.2's subgraph extraction protocol.
   *
   * "We identified seed vertices in the networks from which there are paths
   * (up to three hops) that pass through other vertices and then return to the
@@ -14,14 +16,15 @@ import scala.collection.mutable
   * form a single subgraph." — i.e. for every seed `a`, the union of the arcs
   * of all 2-hop cycles `a→b→a` and 3-hop cycles `a→b→c→a`.
   *
-  * It runs over the network's cached per-edge table [[CyclePaths.edges]]:
-  * cycles are enumerated on its `(src, dst)` ids alone (self-join sizes stay
-  * bounded by structural degrees), the arcs are joined to the table once,
-  * and one regroup by seed assembles each subgraph, with the seed split into
-  * a source (its outgoing interactions) and a sink (its incoming ones) —
-  * Section 3 allows source == sink, and this is the standard reduction. Subgraphs with more than `maxInteractions` interactions are
-  * discarded, like the paper's 10K cap (our LP substrate is a dense simplex,
-  * so the default cap is lower; DESIGN.md §3).
+  * Each seed is browsed on its own, like GB (Section 5.1): the network is
+  * collected into one broadcast [[AdjacencyIndex]], and every Spark task roots
+  * [[GraphBrowsing.enumerate]] at each seed of its slice. The seed's subgraph
+  * is the interactions of its distinct cycle arcs, with the seed split into a
+  * source (its outgoing interactions) and a sink (its incoming ones) —
+  * Section 3 allows source == sink, and this is the standard reduction.
+  * Subgraphs with more than `maxInteractions` interactions are discarded,
+  * like the paper's 10K cap (our LP substrate is a dense simplex, so the
+  * default cap is lower; DESIGN.md §3).
   */
 object SubgraphExtractor {
 
@@ -37,50 +40,56 @@ object SubgraphExtractor {
     def toFlowGraph: FlowGraph = FlowGraph(SourceId, SinkId, inters)
   }
 
-  /** Arcs `(seed, src, dst)` of the ≤3-hop cycles through `seed` over the ids
-    * of `e`, one row per cycle edge `e1..ek`, seeded at `e1.src`.
+  /** `f(adj, seed, arcs)` for every seed on a ≤3-hop cycle of `net`, where
+    * `arcs` are the seed's distinct cycle arcs `(src, dst)` in the order GB's
+    * enumeration rooted at the seed finds them: its 2-hop cycles (`Cycle2`),
+    * then its 3-hop ones (`P3`). `adj` is one broadcast adjacency index of
+    * `net`, and each Spark task browses one round-robin seed slice, two per core.
+    * The broadcast is not destroyed here: the result recomputes from it while
+    * it lives, and Spark's `ContextCleaner` frees it once the result is dropped.
     */
-  private def arcs(e: DataFrame): DataFrame = {
-    def cycleEdges(cycles: DataFrame, k: Int): DataFrame =
-      cycles.select(col("e1.src") as "seed", explode(array((1 to k).map { i =>
-        struct(col(s"e$i.src") as "src", col(s"e$i.dst") as "dst")
-      }: _*)) as "arc")
-    val ids = e.select("src", "dst")
-    cycleEdges(CyclePaths.cycles2(ids), 2).union(cycleEdges(CyclePaths.cycles3(ids), 3))
-      .select(col("seed"), col("arc.src") as "src", col("arc.dst") as "dst")
+  private def browse[T: ClassTag](net: DataFrame)(
+      f: (AdjacencyIndex, Int, Iterable[(Int, Int)]) => IterableOnce[T]): RDD[T] = {
+    val sc     = net.sparkSession.sparkContext
+    val adj    = AdjacencyIndex.fromNetwork(net)
+    val adjB   = sc.broadcast(adj)
+    val slices = adj.slices(2 * sc.defaultParallelism)
+    sc.parallelize(slices, slices.size).flatMap(_.iterator.flatMap { seed =>
+      val arcs = mutable.LinkedHashSet.empty[(Int, Int)]
+      for (p <- Seq(Patterns.Cycle2, Patterns.P3))
+        GraphBrowsing.enumerate(adjB.value, p, startVertices = Some(Array(seed))) { mu =>
+          p.edges.foreach { case (u, w) => arcs += ((mu(u), mu(w))) }
+        }
+      if (arcs.isEmpty) Iterator.empty else f(adjB.value, seed, arcs)
+    })
   }
 
   /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct. */
-  def cycleArcs(net: DataFrame): DataFrame = arcs(CyclePaths.edges(net)).distinct()
+  def cycleArcs(net: DataFrame): DataFrame = {
+    import net.sparkSession.implicits._
+    browse(net)((_, seed, arcs) => arcs.iterator.map { case (s, d) => (seed, s, d) }).toDF("seed", "src", "dst")
+  }
 
   /** [[extract]]'s subgraphs, one row per interaction. */
   def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] =
     extract(net, maxInteractions).flatMap(sg => sg.inters.map(i =>
       TaggedInteraction(sg.seed, i.src, i.dst, i.ts, i.qty)))(Encoders.product[TaggedInteraction])
 
-  /** Per-seed subgraphs, ready for the flow algorithms: the cycle arcs joined
-    * to the edge table and regrouped by seed, each distinct arc adding its
-    * edge's interactions. A seed past `maxInteractions` is dropped, and the
-    * rest of its group drained without storing anything.
+  /** Per-seed subgraphs, ready for the flow algorithms: each distinct cycle
+    * arc adds its edge's interactions, in timestamp order. A seed past
+    * `maxInteractions` is dropped before any interaction is copied.
     */
   def extract(net: DataFrame, maxInteractions: Int): Dataset[Subgraph] = {
-    val spark = net.sparkSession
-    import spark.implicits._
-    val e = CyclePaths.edges(net)
-    arcs(e).join(e, Seq("src", "dst")).select("seed", "src", "dst", "es").as[(Int, Int, Int, Seq[TsQty])]
-      .groupByKey(_._1).flatMapGroups { (seed, rows) =>
-        val seen   = mutable.HashSet.empty[(Int, Int)]
-        val inters = Vector.newBuilder[Interaction]
-        var n      = 0L
-        rows.foreach { case (_, src, dst, es) =>
-          if (n <= maxInteractions && seen.add((src, dst))) {
-            n += es.size
-            val (s, d) = (if (src == seed) SourceId else src, if (dst == seed) SinkId else dst)
-            if (n <= maxInteractions) es.foreach(x => inters += Interaction(s, d, x.ts, x.qty))
-          }
-        }
-        if (n <= maxInteractions) Iterator.single(Subgraph(seed, inters.result().sortBy(_.ts))) else Iterator.empty
+    import net.sparkSession.implicits._
+    browse(net) { (adj, seed, arcs) =>
+      val n = arcs.iterator.map { case (s, d) => adj.interactions(s, d).size.toLong }.sum
+      Option.when(n <= maxInteractions) {
+        Subgraph(seed, arcs.iterator.flatMap { case (s, d) =>
+          val (ss, dd) = (if (s == seed) SourceId else s, if (d == seed) SinkId else d)
+          adj.interactions(s, d).iterator.map { case (t, q) => Interaction(ss, dd, t, q) }
+        }.toVector.sortBy(_.ts))
       }
+    }.toDS()
   }
 
   /** Table 5 row: #subgraphs and average #vertices/#edges/#interactions.

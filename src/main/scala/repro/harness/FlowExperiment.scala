@@ -2,7 +2,7 @@ package repro.harness
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
-import repro.data.{CyclePaths, NetworkGen, SubgraphExtractor}
+import repro.data.{NetworkGen, SubgraphExtractor}
 
 /** The flow-computation experiment of Section 6.2 (Tables 5, 6, 7, 8 and the
   * bucket breakdown behind Figure 11).
@@ -136,7 +136,7 @@ object FlowExperiment {
       buffered.map { sg => measure(sg.seed, sg.toFlowGraph) }
     }.collect()
 
-    all.unpersist(); CyclePaths.release(net); net.unpersist()
+    all.unpersist(); net.unpersist()
     Report(cfg.dataset, cfg.sf, netStats, sgStats, measured.map(_._1).toSeq, measured.map(_._2).sum)
   }
 }

@@ -80,10 +80,6 @@ object PatternExperiment {
     }
   }
 
-  /** Round-robin slices of the vertex array, spreading hubs across tasks. */
-  private def slices(vertices: Array[Int], n: Int): Seq[Array[Int]] =
-    (0 until n).map(i => vertices.indices.collect { case j if j % n == i => vertices(j) }.toArray)
-
   def run(spark: SparkSession, cfg: Config): Report = {
     import spark.implicits._
     val spec = NetworkGen.byName(cfg.dataset)
@@ -91,10 +87,9 @@ object PatternExperiment {
     net.count()
 
     // ---- GB side: broadcast adjacency ----
-    val inters = net.select($"src", $"dst", $"ts", $"qty").as[repro.core.Interaction].collect()
-    val adj    = AdjacencyIndex.fromInteractions(inters.toSeq)
-    val adjB   = spark.sparkContext.broadcast(adj)
-    val vSlices = slices(adj.vertices, cfg.gbSlices)
+    val adj     = AdjacencyIndex.fromNetwork(net)
+    val adjB    = spark.sparkContext.broadcast(adj)
+    val vSlices = adj.slices(cfg.gbSlices)
 
     /** GB over all slices: (instances, flow sum, capped) and its time in ms. */
     def gb(perSlice: Array[Int] => (Long, Double, Boolean)): ((Long, Double, Boolean), Double) = {

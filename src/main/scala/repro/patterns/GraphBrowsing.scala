@@ -1,5 +1,6 @@
 package repro.patterns
 
+import org.apache.spark.sql.DataFrame
 import repro.core.{FlowGraph, FlowPipeline, Greedy, Interaction}
 import scala.collection.mutable
 
@@ -13,11 +14,20 @@ final class AdjacencyIndex(edges: Map[(Int, Int), Vector[(Long, Double)]]) exten
 
   def outOf(v: Int): Array[Int]              = out.getOrElse(v, Array.empty)
   def interactions(a: Int, b: Int): Vector[(Long, Double)] = edges.getOrElse((a, b), Vector.empty)
+
+  /** `n` round-robin slices of [[vertices]], spreading hubs across the tasks that browse them. */
+  def slices(n: Int): Seq[Array[Int]] = (0 until n).map(i => (i until vertices.length by n).map(vertices(_)).toArray)
 }
 
 object AdjacencyIndex {
   def fromInteractions(inters: Seq[Interaction]): AdjacencyIndex =
     new AdjacencyIndex(FlowGraph.groupEdges(inters))
+
+  /** The interactions of the network `net` (`src, dst, ts, qty`), collected to the driver. */
+  def fromNetwork(net: DataFrame): AdjacencyIndex = {
+    import net.sparkSession.implicits._
+    fromInteractions(net.select($"src", $"dst", $"ts", $"qty").as[Interaction].collect().toSeq)
+  }
 }
 
 /** Graph browsing (Section 5.1): enumerate pattern instances by mapping the

@@ -1,11 +1,14 @@
 package repro.data
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import repro.core.{FlowPipeline, Interaction}
 
 /** Tests for the seed-cycle subgraph extraction (Section 6.2 protocol),
-  * with the cycle-arc join verified against DuckDB.
+  * with the cycle arcs and the extracted interactions verified against
+  * DuckDB and against a brute-force reference on random networks.
   */
 class SubgraphExtractorSpec extends SparkSpec {
 
@@ -183,6 +186,78 @@ class SubgraphExtractorSpec extends SparkSpec {
       val dinic = FlowPipeline.dinic(g)
       assert(math.abs(pre.flow - dinic) < 1e-4 * math.max(1.0, dinic),
         s"seed=${sg.seed}: pre=${pre.flow} dinic=$dinic")
+    }
+  }
+
+  /** A random network of 1–8 vertices: self-loops and 2-cycles arise from
+    * uniform pairs, repeated pairs and 1–3 interactions per draw give
+    * parallel interactions, and timestamps in 1..5 tie often.
+    */
+  private val genNetwork: Gen[Seq[Interaction]] = for {
+    n     <- Gen.choose(1, 8)
+    m     <- Gen.choose(0, 2 * n)
+    pairs <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    draws <- Gen.sequence[List[List[Interaction]], List[Interaction]](pairs.map { case (a, b) =>
+      Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(1L, 5L), Gen.choose(1, 9))
+        .map { case (t, q) => Interaction(a, b, t, q.toDouble) }))
+    })
+  } yield draws.flatten
+
+  /** Brute force over all vertex pairs and triples: each seed's distinct
+    * arcs of its 2-cycles `a→b→a` and 3-cycles `a→b→c→a` (pairwise-distinct
+    * vertices).
+    */
+  private def referenceArcs(inters: Seq[Interaction]): Map[Int, Set[(Int, Int)]] = {
+    val e  = inters.map(i => (i.src, i.dst)).toSet
+    val vs = inters.flatMap(i => Seq(i.src, i.dst)).distinct
+    val cycles =
+      (for (a <- vs; b <- vs if a != b && e((a, b)) && e((b, a))) yield a -> Set((a, b), (b, a))) ++
+      (for (a <- vs; b <- vs; c <- vs if a != b && b != c && c != a && e((a, b)) && e((b, c)) && e((c, a)))
+        yield a -> Set((a, b), (b, c), (c, a)))
+    cycles.groupMapReduce(_._1)(_._2)(_ ++ _)
+  }
+
+  test("property: extract and cycleArcs equal a brute-force reference on random networks") {
+    val s = spark
+    import s.implicits._
+    // Disjoint copies (vertex ids offset by 10 per sample) share one Spark
+    // network; no cycle crosses two samples.
+    var rng = Seed(0x5EEDL)
+    val samples = (0 until 150).map { k =>
+      val net = genNetwork(Gen.Parameters.default, rng).get
+      rng = rng.next
+      net.map(i => i.copy(src = i.src + 10 * k, dst = i.dst + 10 * k))
+    }
+    val all = samples.flatten
+    assert(all.exists(i => i.src == i.dst), "the samples must contain self-loops")
+    assert(all.groupBy(i => (i.src, i.dst)).values.exists(is => is.map(_.ts).distinct.size < is.size),
+      "the samples must contain parallel interactions with tied timestamps")
+    val arcs = referenceArcs(all)
+    assert(arcs.values.exists(_.size == 2) && arcs.values.exists(_.size == 3), "the samples must contain 2- and 3-cycles")
+    val net = all.toDF()
+
+    val gotArcs = SubgraphExtractor.cycleArcs(net).as[(Int, Int, Int)].collect().toSeq
+    val wantArcs = arcs.toSeq.flatMap { case (a, as) => as.map { case (u, w) => (a, u, w) } }
+    assert(gotArcs.sorted === wantArcs.sorted)
+
+    /** The seed's subgraph: every interaction on its arcs, the seed split. */
+    def subgraph(seed: Int): Seq[Interaction] = all.collect {
+      case i if arcs(seed)((i.src, i.dst)) =>
+        i.copy(src = if (i.src == seed) SubgraphExtractor.SourceId else i.src,
+               dst = if (i.dst == seed) SubgraphExtractor.SinkId else i.dst)
+    }
+    val want = arcs.keys.map(a => a -> subgraph(a)).toMap
+    val byInteraction = Ordering.by((i: Interaction) => (i.src, i.dst, i.ts, i.qty))
+    // Each seed's size and one less: every seed is once at its cap exactly.
+    val caps = want.values.map(_.size).toSeq.flatMap(n => Seq(n - 1, n)).distinct.sorted
+    for (cap <- caps) {
+      val got = SubgraphExtractor.extract(net, cap).collect()
+      assert(got.map(_.seed).toSeq.sorted === want.collect { case (a, is) if is.size <= cap => a }.toSeq.sorted,
+        s"cap $cap: kept seeds")
+      got.foreach { sg =>
+        assert(sg.inters.map(_.ts) === sg.inters.map(_.ts).sorted, s"cap $cap seed ${sg.seed}: not in time order")
+        assert(sg.inters.sorted(byInteraction) === want(sg.seed).sorted(byInteraction), s"cap $cap seed ${sg.seed}")
+      }
     }
   }
 }

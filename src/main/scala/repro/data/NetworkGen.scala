@@ -154,7 +154,6 @@ object NetworkGen {
       countDistinct(struct(col("src"), col("dst"))) as "edges",
       count(lit(1)) as "interactions",
       round(avg(col("qty")), 2) as "avg_flow",
-      countDistinct(col("src")) as "senders",
     ).crossJoin(
       df.select(explode(array(col("src"), col("dst"))) as "v").agg(countDistinct(col("v")) as "nodes")
     ).select(col("nodes"), col("edges"), col("interactions"), col("avg_flow"))

@@ -43,26 +43,19 @@ object SubgraphExtractor {
   /** `f(adj, seed, arcs)` for every seed on a ≤3-hop cycle of `net`, where
     * `arcs` are the seed's distinct cycle arcs `(src, dst)` in the order GB's
     * enumeration rooted at the seed finds them: its 2-hop cycles (`Cycle2`),
-    * then its 3-hop ones (`P3`). `adj` is one broadcast adjacency index of
-    * `net`, and each Spark task browses one round-robin seed slice, two per core.
-    * The broadcast is not destroyed here: the result recomputes from it while
-    * it lives, and Spark's `ContextCleaner` frees it once the result is dropped.
+    * then its 3-hop ones (`P3`). `adj` is [[GraphBrowsing.browse]]'s broadcast
+    * adjacency index of `net`.
     */
   private def browse[T: ClassTag](net: DataFrame)(
-      f: (AdjacencyIndex, Int, Iterable[(Int, Int)]) => IterableOnce[T]): RDD[T] = {
-    val sc     = net.sparkSession.sparkContext
-    val adj    = AdjacencyIndex.fromNetwork(net)
-    val adjB   = sc.broadcast(adj)
-    val slices = adj.slices(2 * sc.defaultParallelism)
-    sc.parallelize(slices, slices.size).flatMap(_.iterator.flatMap { seed =>
+      f: (AdjacencyIndex, Int, Iterable[(Int, Int)]) => IterableOnce[T]): RDD[T] =
+    GraphBrowsing.browse(net) { (adj, seed) =>
       val arcs = mutable.LinkedHashSet.empty[(Int, Int)]
       for (p <- Seq(Patterns.Cycle2, Patterns.P3))
-        GraphBrowsing.enumerate(adjB.value, p, startVertices = Some(Array(seed))) { mu =>
+        GraphBrowsing.enumerate(adj, p, startVertices = Some(Array(seed))) { mu =>
           p.edges.foreach { case (u, w) => arcs += ((mu(u), mu(w))) }
         }
-      if (arcs.isEmpty) Iterator.empty else f(adjB.value, seed, arcs)
-    })
-  }
+      if (arcs.isEmpty) Iterator.empty else f(adj, seed, arcs)
+    }
 
   /** Arcs `(seed, src, dst)` of every ≤3-hop cycle through `seed`, distinct. */
   def cycleArcs(net: DataFrame): DataFrame = {

@@ -1,8 +1,10 @@
 package repro.patterns
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core.{FlowGraph, FlowPipeline, Greedy, Interaction}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** In-memory adjacency view of an interaction network, the structure the
   * paper's graph-browsing baseline navigates ("main-memory representations
@@ -38,6 +40,20 @@ object AdjacencyIndex {
   * degenerates to the incremental greedy computation the paper describes).
   */
 object GraphBrowsing {
+
+  /** `perSeed(adj, v)` for every vertex `v` of the network `net`, on Spark:
+    * `net` is collected into one broadcast adjacency index `adj`, and each
+    * task browses one round-robin slice of its vertices, two slices per core.
+    * The broadcast is not destroyed here: the result recomputes from it while
+    * it lives, and Spark's `ContextCleaner` frees it once the result is dropped.
+    */
+  def browse[T: ClassTag](net: DataFrame)(perSeed: (AdjacencyIndex, Int) => IterableOnce[T]): RDD[T] = {
+    val sc     = net.sparkSession.sparkContext
+    val adj    = AdjacencyIndex.fromNetwork(net)
+    val adjB   = sc.broadcast(adj)
+    val slices = adj.slices(2 * sc.defaultParallelism)
+    sc.parallelize(slices, slices.size).flatMap(_.iterator.flatMap(perSeed(adjB.value, _)))
+  }
 
   /** Enumerate all instances of `pattern`, invoking `onInstance` with the
     * vertex assignment (pattern vertex -> graph vertex). Returns the number
@@ -128,6 +144,16 @@ object GraphBrowsing {
     (n, total)
   }
 
+  /** Every instance `mu` of the chain pattern `chain` (a path, its edges in
+    * order) with its Lemma 3 reduction: the greedy scan of the instance's
+    * edges, whose `sinkArrivals` are the reduced edge's interactions.
+    */
+  def reducedChains(adj: AdjacencyIndex, chain: Pattern, startVertices: Option[Array[Int]])(
+      onInstance: (Array[Int], Greedy.Result) => Unit): Unit =
+    enumerate(adj, chain, startVertices = startVertices) { mu =>
+      onInstance(mu, Greedy.chain(edgeInteractions(adj, chain, mu)))
+    }
+
   /** Non-rigid patterns (Section 5.3): the instances of the chain pattern
     * `chain` that share a `key` form one instance; its flow is the sum of
     * the branch flows (each branch is a source chain — Lemma 3). Returns one
@@ -136,10 +162,10 @@ object GraphBrowsing {
   private def relaxed[K](adj: AdjacencyIndex, chain: Pattern, key: Array[Int] => K,
                          startVertices: Option[Array[Int]]): Seq[(K, Int, Double)] = {
     val acc = mutable.LinkedHashMap.empty[K, (Int, Double)]
-    enumerate(adj, chain, startVertices = startVertices) { mu =>
+    reducedChains(adj, chain, startVertices) { (mu, r) =>
       val k         = key(mu)
       val (n, flow) = acc.getOrElse(k, (0, 0.0))
-      acc(k) = (n + 1, flow + Greedy.chain(edgeInteractions(adj, chain, mu)).flow)
+      acc(k) = (n + 1, flow + r.flow)
     }
     acc.iterator.map { case (k, (n, f)) => (k, n, f) }.toVector
   }

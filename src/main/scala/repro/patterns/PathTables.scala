@@ -1,10 +1,7 @@
 package repro.patterns
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.UserDefinedFunction
-import org.apache.spark.sql.functions._
-import repro.core.Greedy
-import repro.data.CyclePaths
 import repro.data.CyclePaths.TsQty
 
 /** Path precomputation (Section 5.2): tables of small path instances with
@@ -21,37 +18,41 @@ import repro.data.CyclePaths.TsQty
   * Each row carries `flow` (total arriving quantity) and `arrivals` (the
   * reduced edge's interaction sequence), so flows of patterns whose paths are
   * independent are sums/merges of table rows with no further flow
-  * computation. All tables are DataFrames produced by Catalyst joins over
-  * the network's cached per-edge table `CyclePaths.edges`.
+  * computation. The rows are found like GB's: [[GraphBrowsing.browse]] roots
+  * the path's pattern at every vertex `a` of the network, and each instance
+  * is reduced by [[GraphBrowsing.reducedChains]]. A cycle's rotations are
+  * distinct rows, one per root.
   */
 object PathTables {
 
-  final case class ChainOut(flow: Double, arrivals: Seq[TsQty])
+  /** `(mu, flow, arrivals)` for every instance `mu` of the path pattern `chain`. */
+  private def instances(net: DataFrame, chain: Pattern): RDD[(Array[Int], Double, Seq[TsQty])] =
+    GraphBrowsing.browse(net) { (adj, a) =>
+      val rows = Vector.newBuilder[(Array[Int], Double, Seq[TsQty])]
+      GraphBrowsing.reducedChains(adj, chain, Some(Array(a))) { (mu, r) =>
+        rows += ((mu, r.flow, r.sinkArrivals.map { case (t, q) => TsQty(t, q) }))
+      }
+      rows.result()
+    }
 
-  /** Greedy chain reduction over an `array` of consecutive edges' interactions. */
-  private val chain: UserDefinedFunction = udf { (es: Seq[Seq[TsQty]]) =>
-    val res = Greedy.chain(es.map(_.map(t => (t.ts, t.qty))))
-    ChainOut(res.flow, res.sinkArrivals.map { case (t, q) => TsQty(t, q) })
+  /** 2-hop cycle table: `(a, b, flow, arrivals)`, `a≠b`. */
+  def l2(net: DataFrame): DataFrame = {
+    import net.sparkSession.implicits._
+    instances(net, Patterns.Cycle2).map { case (mu, f, as) => (mu(0), mu(1), f, as) }
+      .toDF("a", "b", "flow", "arrivals")
   }
 
-  /** The chain of edges `e1 .. ek` of a path join, reduced. */
-  private def reduced(k: Int) = chain(array((1 to k).map(i => col(s"e$i.es")): _*)) as "r"
-
-  /** 2-hop cycle table: `(a, b, flow, arrivals)`. */
-  def l2(net: DataFrame): DataFrame =
-    CyclePaths.cycles2(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", reduced(2))
-      .select(col("a"), col("b"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
-
   /** 3-hop cycle table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
-  def l3(net: DataFrame): DataFrame =
-    CyclePaths.cycles3(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c", reduced(3))
-      .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
+  def l3(net: DataFrame): DataFrame = {
+    import net.sparkSession.implicits._
+    instances(net, Patterns.P3).map { case (mu, f, as) => (mu(0), mu(1), mu(2), f, as) }
+      .toDF("a", "b", "c", "flow", "arrivals")
+  }
 
   /** 2-hop chain table: `(a, b, c, flow, arrivals)`, `a,b,c` distinct. */
-  def c2(net: DataFrame): DataFrame =
-    CyclePaths.chains2(CyclePaths.edges(net))
-      .select(col("e1.src") as "a", col("e1.dst") as "b", col("e2.dst") as "c", reduced(2))
-      .select(col("a"), col("b"), col("c"), col("r.flow") as "flow", col("r.arrivals") as "arrivals")
+  def c2(net: DataFrame): DataFrame = {
+    import net.sparkSession.implicits._
+    instances(net, Patterns.P1).map { case (mu, f, as) => (mu(0), mu(1), mu(2), f, as) }
+      .toDF("a", "b", "c", "flow", "arrivals")
+  }
 }

@@ -66,8 +66,11 @@ object PatternEnum {
     val spark = net.sparkSession
     import spark.implicits._
     val e = CyclePaths.edges(net)
-    // e1 = a→b, e2 = b→c, e3 = c→a, e4 = a→c, e5 = b→a.
-    val joined = CyclePaths.cycles3(e)
+    // e1 = a→b, e2 = b→c, e3 = c→a, e4 = a→c, e5 = b→a; a, b, c pairwise distinct.
+    val joined = e.as("e1")
+      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" =!= $"e1.src")
+      .join(e.as("e3"), $"e2.dst" === $"e3.src" && $"e3.dst" === $"e1.src")
+      .where($"e1.src" =!= $"e1.dst" && $"e2.dst" =!= $"e1.dst")
       .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
       .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")
       .select($"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",

@@ -1,9 +1,10 @@
 package repro.patterns
 
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Greedy, Interaction}
-import repro.data.CyclePaths
+import repro.data.{CyclePaths, NetworkGen}
 
 /** Tests for the precomputed path tables (Section 5.2): structure checked
   * against DuckDB joins, flows against the in-memory chain greedy.
@@ -27,78 +28,103 @@ class PathTablesSpec extends SparkSpec {
     ).toDF()
   }
 
-  private lazy val adj = AdjacencyIndex.fromInteractions(
-    net.as[Interaction](org.apache.spark.sql.Encoders.product[Interaction]).collect().toSeq)
+  /** The fixture plus self-loops `1→1`, `4→4` and a second `3→4` interaction. */
+  private lazy val withLoops = {
+    val s = spark
+    import s.implicits._
+    net.union(Seq(
+      Interaction(1, 1, 10L, 1.0),
+      Interaction(4, 4, 11L, 2.0),
+      Interaction(3, 4, 12L, 3.0),
+    ).toDF())
+  }
+
+  /** Every network each table is checked on: the fixture, the fixture with
+    * self-loops, and a small dense generated one.
+    */
+  private lazy val inputs = Seq(net, withLoops, NetworkGen.generate(spark, NetworkGen.prosperLike, 0.0003))
+
+  /** Every row's `flow` and `arrivals` are the greedy chain over its path's
+    * edges; `path` lists the row's vertices along the path.
+    */
+  private def assertChainGreedy(table: DataFrame => DataFrame, path: Row => Seq[Int]): Unit =
+    for (in <- inputs) {
+      val adj  = AdjacencyIndex.fromNetwork(in)
+      val rows = table(in).collect()
+      assert(rows.nonEmpty)
+      rows.foreach { r =>
+        val vs       = path(r)
+        val expected = Greedy.chain(vs.zip(vs.tail).map { case (u, w) => adj.interactions(u, w) })
+        val n        = r.length
+        assert(math.abs(r.getDouble(n - 2) - expected.flow) < 1e-9, s"flow mismatch for $vs")
+        assert(r.getSeq[Row](n - 1).map(x => (x.getLong(0), x.getDouble(1))) === expected.sinkArrivals,
+          s"arrivals mismatch for $vs")
+      }
+    }
 
   test("the edge table aggregates and sorts per edge") {
     val e12 = CyclePaths.edges(net)
       .where(col("src") === 1 && col("dst") === 2)
-      .select(col("es")).head().getSeq[org.apache.spark.sql.Row](0)
+      .select(col("es")).head().getSeq[Row](0)
     assert(e12.map(_.getLong(0)) === Seq(1L, 7L))
   }
 
   test("L2 vertex pairs match the DuckDB self-join (oracle)") {
-    val l2 = PathTables.l2(net).select(col("a").cast("string") as "a", col("b").cast("string") as "b")
-    Oracle.assertEquivalent(l2,
-      """
-      WITH e AS (SELECT DISTINCT src, dst FROM net)
-      SELECT e1.src AS a, e1.dst AS b
-      FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
-      WHERE e1.src <> e1.dst
-      """,
-      "net" -> net)
+    for (in <- inputs) {
+      val l2 = PathTables.l2(in).select(col("a").cast("string") as "a", col("b").cast("string") as "b")
+      Oracle.assertEquivalent(l2,
+        """
+        WITH e AS (SELECT DISTINCT src, dst FROM net)
+        SELECT e1.src AS a, e1.dst AS b
+        FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
+        WHERE e1.src <> e1.dst
+        """,
+        "net" -> in)
+    }
   }
 
   test("L3 vertex triples match the DuckDB self-join (oracle)") {
-    val l3 = PathTables.l3(net).select(col("a").cast("string") as "a",
-      col("b").cast("string") as "b", col("c").cast("string") as "c")
-    Oracle.assertEquivalent(l3,
-      """
-      WITH e AS (SELECT DISTINCT src, dst FROM net)
-      SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
-      FROM e e1
-      JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
-      JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
-      WHERE e1.src <> e1.dst AND e2.dst <> e1.dst
-      """,
-      "net" -> net)
+    for (in <- inputs) {
+      val l3 = PathTables.l3(in).select(col("a").cast("string") as "a",
+        col("b").cast("string") as "b", col("c").cast("string") as "c")
+      Oracle.assertEquivalent(l3,
+        """
+        WITH e AS (SELECT DISTINCT src, dst FROM net)
+        SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
+        FROM e e1
+        JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
+        JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
+        WHERE e1.src <> e1.dst AND e2.dst <> e1.dst
+        """,
+        "net" -> in)
+    }
   }
 
   test("C2 chain triples match the DuckDB self-join (oracle)") {
-    val c2 = PathTables.c2(net).select(col("a").cast("string") as "a",
-      col("b").cast("string") as "b", col("c").cast("string") as "c")
-    Oracle.assertEquivalent(c2,
-      """
-      WITH e AS (SELECT DISTINCT src, dst FROM net)
-      SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
-      FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src AND e2.dst <> e1.dst
-      WHERE e1.src <> e1.dst
-      """,
-      "net" -> net)
+    for (in <- inputs) {
+      val c2 = PathTables.c2(in).select(col("a").cast("string") as "a",
+        col("b").cast("string") as "b", col("c").cast("string") as "c")
+      Oracle.assertEquivalent(c2,
+        """
+        WITH e AS (SELECT DISTINCT src, dst FROM net)
+        SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
+        FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src AND e2.dst <> e1.dst
+        WHERE e1.src <> e1.dst
+        """,
+        "net" -> in)
+    }
   }
 
   test("L2 flows equal the in-memory chain greedy") {
-    PathTables.l2(net).collect().foreach { r =>
-      val a = r.getInt(0); val b = r.getInt(1)
-      val expected = Greedy.chain(Seq(adj.interactions(a, b), adj.interactions(b, a))).flow
-      assert(math.abs(r.getDouble(2) - expected) < 1e-9, s"L2 flow mismatch for ($a,$b)")
-    }
+    assertChainGreedy(PathTables.l2, r => Seq(r.getInt(0), r.getInt(1), r.getInt(0)))
   }
 
   test("L3 flows equal the in-memory chain greedy") {
-    PathTables.l3(net).collect().foreach { r =>
-      val a = r.getInt(0); val b = r.getInt(1); val c = r.getInt(2)
-      val expected = Greedy.chain(Seq(
-        adj.interactions(a, b), adj.interactions(b, c), adj.interactions(c, a))).flow
-      assert(math.abs(r.getDouble(3) - expected) < 1e-9, s"L3 flow mismatch for ($a,$b,$c)")
-    }
+    assertChainGreedy(PathTables.l3, r => Seq(r.getInt(0), r.getInt(1), r.getInt(2), r.getInt(0)))
   }
 
-  test("arrivals stored in L2 are the Lemma 3 reduced-edge interactions") {
-    val r12 = PathTables.l2(net).where(col("a") === 1 && col("b") === 2).head()
-    val arrivals = r12.getSeq[org.apache.spark.sql.Row](3).map(x => (x.getLong(0), x.getDouble(1)))
-    val expected = Greedy.chain(Seq(adj.interactions(1, 2), adj.interactions(2, 1))).sinkArrivals
-    assert(arrivals === expected)
+  test("C2 flows equal the in-memory chain greedy") {
+    assertChainGreedy(PathTables.c2, r => Seq(r.getInt(0), r.getInt(1), r.getInt(2)))
   }
 
   test("concrete L2 flow value: cycle 1->2->1") {
@@ -114,8 +140,10 @@ class PathTablesSpec extends SparkSpec {
   }
 
   test("tables contain no degenerate rows (a<>b, distinct triples)") {
-    assert(PathTables.l2(net).where(col("a") === col("b")).count() === 0)
-    assert(PathTables.l3(net).where(col("a") === col("b") || col("b") === col("c") || col("a") === col("c")).count() === 0)
-    assert(PathTables.c2(net).where(col("a") === col("b") || col("b") === col("c") || col("a") === col("c")).count() === 0)
+    for (in <- inputs) {
+      assert(PathTables.l2(in).where(col("a") === col("b")).count() === 0)
+      assert(PathTables.l3(in).where(col("a") === col("b") || col("b") === col("c") || col("a") === col("c")).count() === 0)
+      assert(PathTables.c2(in).where(col("a") === col("b") || col("b") === col("c") || col("a") === col("c")).count() === 0)
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{CyclePaths, NetworkGen}
+import repro.data.NetworkGen
 import repro.patterns._
 
 /** The pattern-search experiment of Section 6.3 (Tables 9, 10, 11): for each
@@ -15,7 +15,7 @@ import repro.patterns._
   *    cycle tables (and C2 chains for the Prosper-like network) browsed and
   *    materialised once, then each pattern answered by Catalyst
   *    joins/aggregations over the tables; only P4 needs per-instance LP
-  *    flows, and it joins the network's cached edge table instead.
+  *    flows, and it browses the network instead.
   *
   * Both run on the same local[*] session, so the GB-vs-PB comparison is
   * core-for-core fair. Patterns whose GB enumeration would be unbounded at
@@ -157,7 +157,7 @@ object PatternExperiment {
     ).flatten
 
     val report = Report(cfg.dataset, cfg.sf, Timing.nsToMs(preNs), tableSizes, rows, mismatches)
-    l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); CyclePaths.release(net); net.unpersist(); adjB.destroy()
+    l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); net.unpersist(); adjB.destroy()
     report
   }
 }

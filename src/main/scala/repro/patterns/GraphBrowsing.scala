@@ -58,7 +58,9 @@ object GraphBrowsing {
   /** Enumerate all instances of `pattern`, invoking `onInstance` with the
     * vertex assignment (pattern vertex -> graph vertex). Returns the number
     * of instances visited (stops early at `maxInstances` if positive, like
-    * the paper's starred P4/P6 runs).
+    * the paper's starred P4/P6 runs). Every candidate list is ascending when
+    * `startVertices` is, so the assignments come in lexicographically
+    * ascending order; a capped P4 relies on it.
     */
   def enumerate(
       adj: AdjacencyIndex,

@@ -2,7 +2,6 @@ package repro.patterns
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import repro.data.CyclePaths.TsQty
 
 /** Path precomputation (Section 5.2): tables of small path instances with
   * the interaction sequence that enters the buffer of the path's end vertex
@@ -24,6 +23,9 @@ import repro.data.CyclePaths.TsQty
   * distinct rows, one per root.
   */
 object PathTables {
+
+  /** One interaction of a row's `arrivals`. */
+  final case class TsQty(ts: Long, qty: Double)
 
   /** `(mu, flow, arrivals)` for every instance `mu` of the path pattern `chain`. */
   private def instances(net: DataFrame, chain: Pattern): RDD[(Array[Int], Double, Seq[TsQty])] =

@@ -1,18 +1,17 @@
 package repro.patterns
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.FlowPipeline
-import repro.data.CyclePaths
-import repro.data.CyclePaths.TsQty
 
 /** Preprocessing-based pattern enumeration (PB, Section 5.2): instances are
-  * assembled by joining the precomputed path tables (merge joins in the
-  * paper; Catalyst sort-merge joins here — broadcast is disabled in the test
-  * config), and flows of independent parallel paths are sums of the
-  * precomputed chain flows (Lemma 3). Only P4, whose chords make the cycle
-  * non-independent, must fall back to per-instance LP flow computation —
-  * exactly the paper's observation for Bitcoin P4*.
+  * assembled from the precomputed path tables by scans, aggregations and,
+  * for P5 and P6, joins (merge joins in the paper; Catalyst sort-merge joins
+  * here — broadcast is disabled in the test config), and flows of
+  * independent parallel paths are sums of the precomputed chain flows
+  * (Lemma 3). Only P4, whose chords make the cycle non-independent, gains
+  * nothing from the tables: it browses the network and computes each
+  * instance's flow by LP — exactly the paper's observation for Bitcoin P4*.
   *
   * Every function returns `(instances, avgFlow)` for one pattern of
   * Tables 9–11.
@@ -49,37 +48,31 @@ object PatternEnum {
   /** P3 — 3-hop cycles: a straight scan of L3. */
   def p3(l3: DataFrame): (Long, Double) = countAvg(l3, "flow")
 
-  /** One P4 instance: its vertices and raw interaction arrays, one per edge
-    * of `Patterns.P4.edges` and in that order (public: Spark codegen needs
-    * access to the encoder's target class). The vertices are the key a cap
-    * selects by.
-    */
-  final case class P4Row(a: Int, b: Int, c: Int, es: Seq[Seq[TsQty]])
-
   /** P4 — 3-hop cycle plus chords `a→c`, `b→a`. The chords couple the paths,
-    * so precomputed flows are unusable: each instance's raw interactions are
-    * gathered and the max flow runs through the Section 4 pipeline
-    * (PreSim → LP) per instance. With a `cap`, the `cap` instances with the
-    * smallest `(a, b, c)` are kept (a top-k, not a full sort of the join).
+    * so precomputed flows are unusable: P4 is browsed like the path tables,
+    * rooted at every vertex `a`, and each instance's max flow runs through
+    * the Section 4 pipeline (PreSim → LP) on its raw interactions, as in GB.
+    * With a `cap`, the `cap` instances with the smallest `(a, b, c)` are
+    * kept: a task's slice is ascending and `enumerate` yields its instances
+    * in ascending `(a, b, c)`, so each task computes the flows of its first
+    * `cap` only, and a top-k over the tasks' instances keeps the global ones.
     */
   def p4(net: DataFrame, cap: Option[Long] = None): (Long, Double) = {
-    val spark = net.sparkSession
-    import spark.implicits._
-    val e = CyclePaths.edges(net)
-    // e1 = a→b, e2 = b→c, e3 = c→a, e4 = a→c, e5 = b→a; a, b, c pairwise distinct.
-    val joined = e.as("e1")
-      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" =!= $"e1.src")
-      .join(e.as("e3"), $"e2.dst" === $"e3.src" && $"e3.dst" === $"e1.src")
-      .where($"e1.src" =!= $"e1.dst" && $"e2.dst" =!= $"e1.dst")
-      .join(e.as("e4"), $"e4.src" === $"e1.src" && $"e4.dst" === $"e2.dst")
-      .join(e.as("e5"), $"e5.src" === $"e1.dst" && $"e5.dst" === $"e1.src")
-      .select($"e1.src" as "a", $"e1.dst" as "b", $"e2.dst" as "c",
-        array($"e1.es", $"e4.es", $"e2.es", $"e5.es", $"e3.es") as "es")
-    val kept = cap.fold(joined)(c => joined.orderBy($"a", $"b", $"c").limit(c.toInt))
-    val flows: Dataset[Double] = kept.as[P4Row].map { r =>
-      FlowPipeline.preSim(Patterns.P4.flowGraph(r.es.map(_.map(t => (t.ts, t.qty))))).flow
+    val flows = GraphBrowsing.browse(net) { (adj, a) =>
+      val mus = Vector.newBuilder[Array[Int]]
+      GraphBrowsing.enumerate(adj, Patterns.P4, startVertices = Some(Array(a)))(mus += _)
+      mus.result().iterator.map { mu => // lazy, so a capped task computes only the flows it keeps
+        ((mu(0), mu(1), mu(2)), FlowPipeline.preSim(GraphBrowsing.instanceGraph(adj, Patterns.P4, mu)).flow)
+      }
     }
-    countAvg(flows.toDF("flow"), "flow")
+    val (n, sum) = cap match {
+      case None    => flows.aggregate((0L, 0.0))((acc, r) => (acc._1 + 1, acc._2 + r._2),
+                                                 (x, y) => (x._1 + y._1, x._2 + y._2))
+      case Some(c) =>
+        val kept = flows.mapPartitions(_.take(c.toInt)).takeOrdered(c.toInt)(Ordering.by(_._1))
+        (kept.length.toLong, kept.foldLeft(0.0)(_ + _._2))
+    }
+    (n, if (n == 0) 0.0 else sum / n)
   }
 
   /** P4 capped at `cap` instances, those with the smallest `(a, b, c)` (the

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Greedy, Interaction}
-import repro.data.{CyclePaths, NetworkGen}
+import repro.data.NetworkGen
 
 /** Tests for the precomputed path tables (Section 5.2): structure checked
   * against DuckDB joins, flows against the in-memory chain greedy.
@@ -61,13 +61,6 @@ class PathTablesSpec extends SparkSpec {
           s"arrivals mismatch for $vs")
       }
     }
-
-  test("the edge table aggregates and sorts per edge") {
-    val e12 = CyclePaths.edges(net)
-      .where(col("src") === 1 && col("dst") === 2)
-      .select(col("es")).head().getSeq[Row](0)
-    assert(e12.map(_.getLong(0)) === Seq(1L, 7L))
-  }
 
   test("L2 vertex pairs match the DuckDB self-join (oracle)") {
     for (in <- inputs) {

@@ -159,24 +159,57 @@ class PatternEnumSpec extends SparkSpec {
   test("p4Limited keeps the k smallest-(a, b, c) instances of GB's uncapped P4") {
     val s = spark
     import s.implicits._
-    // A complete digraph on 4 vertices: each of the 24 ordered triples is a
-    // P4 instance, and random quantities and times give them differing flows.
-    val rnd    = new scala.util.Random(5)
-    val pairs  = for (a <- 1 to 4; b <- 1 to 4 if a != b; _ <- 0 to rnd.nextInt(2)) yield (a, b)
-    val times  = rnd.shuffle(pairs.indices.toVector)
-    val inters = pairs.zip(times).map { case ((a, b), t) => Interaction(a, b, t.toLong, (1 + rnd.nextInt(9)).toDouble) }
-    val k4     = AdjacencyIndex.fromInteractions(inters)
-    val flows  = scala.collection.mutable.ArrayBuffer.empty[(Seq[Int], Double)]
-    GraphBrowsing.enumerate(k4, Patterns.P4) { mu =>
-      flows += ((mu.take(3).toSeq, FlowPipeline.preSim(GraphBrowsing.instanceGraph(k4, Patterns.P4, mu)).flow))
+    /** Checks `p4Limited` at each `k` on the complete digraph over `1 to v`,
+      * whose `v(v-1)(v-2)` ordered triples are all P4 instances; random
+      * quantities and times give them differing flows.
+      */
+    def check(v: Int, seed: Int, ks: Int => Seq[Int]): Unit = {
+      val rnd    = new scala.util.Random(seed)
+      val pairs  = for (a <- 1 to v; b <- 1 to v if a != b; _ <- 0 to rnd.nextInt(2)) yield (a, b)
+      val times  = rnd.shuffle(pairs.indices.toVector)
+      val inters = pairs.zip(times).map { case ((a, b), t) => Interaction(a, b, t.toLong, (1 + rnd.nextInt(9)).toDouble) }
+      val kv     = AdjacencyIndex.fromInteractions(inters)
+      val flows  = scala.collection.mutable.ArrayBuffer.empty[(Seq[Int], Double)]
+      GraphBrowsing.enumerate(kv, Patterns.P4) { mu =>
+        flows += ((mu.take(3).toSeq, FlowPipeline.preSim(GraphBrowsing.instanceGraph(kv, Patterns.P4, mu)).flow))
+      }
+      assert(flows.size === v * (v - 1) * (v - 2))
+      val sorted = flows.sortBy(_._1)(Ordering.Implicits.seqOrdering[Seq, Int])
+      for (k <- ks(flows.size)) {
+        val kept     = sorted.take(k).map(_._2)
+        val (n, avg) = PatternEnum.p4Limited(inters.toDF(), k.toLong)
+        assert(n === k.toLong)
+        assert(math.abs(avg - kept.sum / k) <= 1e-9 * math.max(1.0, math.abs(avg)), s"v = $v, k = $k")
+      }
     }
-    assert(flows.size === 24)
-    val sorted = flows.sortBy(_._1)(Ordering.Implicits.seqOrdering[Seq, Int])
-    for (k <- Seq(1, 6, 23, 24)) {
-      val kept     = sorted.take(k).map(_._2)
-      val (n, avg) = PatternEnum.p4Limited(inters.toDF(), k.toLong)
-      assert(n === k.toLong)
-      assert(math.abs(avg - kept.sum / k) <= 1e-9 * math.max(1.0, math.abs(avg)), s"k = $k")
+    check(4, 5, _ => Seq(1, 6, 23, 24))
+    // Twice as many vertices as slices (two per core), plus one, so every
+    // slice holds several roots of (v-1)(v-2) instances each. The k below cut
+    // inside the first slice's first root, the fourth root and the second
+    // slice's second root.
+    val slices  = 2 * spark.sparkContext.defaultParallelism
+    val v       = 2 * slices + 1
+    val perRoot = (v - 1) * (v - 2)
+    check(v, 9, total => Seq(perRoot / 2, 3 * perRoot + 7, (slices + 1) * perRoot + perRoot / 3, total - 1))
+  }
+
+  test("P4 count matches DuckDB (oracle)") {
+    val s = spark
+    import s.implicits._
+    for (in <- Seq(net, NetworkGen.generate(spark, NetworkGen.prosperLike, 0.0003))) {
+      val (n, _) = PatternEnum.p4(in)
+      assert(n > 0, "no P4 instance to count")
+      Oracle.assertEquivalent(Seq(n).toDF("n"),
+        """
+        WITH e AS (SELECT DISTINCT src, dst FROM net)
+        SELECT COUNT(*) AS n FROM e e1
+        JOIN e e2 ON e1.dst = e2.src
+        JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
+        JOIN e e4 ON e4.src = e1.src AND e4.dst = e2.dst
+        JOIN e e5 ON e5.src = e1.dst AND e5.dst = e1.src
+        WHERE e1.src <> e1.dst AND e2.dst <> e1.src AND e2.dst <> e1.dst
+        """,
+        "net" -> in)
     }
   }
 

@@ -97,8 +97,8 @@ final class FlowGraph(
 object FlowGraph {
 
   /** Group interactions into per-edge sequences `(src, dst) → e_S`, sorted by
-    * timestamp (stable on ties). The one grouping behind every in-memory
-    * graph: `FlowGraph` and the graph-browsing `AdjacencyIndex`.
+    * timestamp (stable on ties): once per network for its `AdjacencyIndex`,
+    * whose sequences the subgraphs and pattern instances cut from it keep.
     */
   def groupEdges(inters: Seq[Interaction]): Map[(Int, Int), Vector[(Long, Double)]] =
     inters.groupBy(i => (i.src, i.dst)).view

@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders}
 import org.apache.spark.sql.functions._
-import repro.core.{FlowGraph, Interaction}
+import repro.core.FlowGraph
 import repro.patterns.{AdjacencyIndex, GraphBrowsing, Patterns}
 import scala.collection.mutable
 import scala.reflect.ClassTag
@@ -19,9 +19,9 @@ import scala.reflect.ClassTag
   * Each seed is browsed on its own, like GB (Section 5.1): the network is
   * collected into one broadcast [[AdjacencyIndex]], and every Spark task roots
   * [[GraphBrowsing.enumerate]] at each seed of its slice. The seed's subgraph
-  * is the interactions of its distinct cycle arcs, with the seed split into a
-  * source (its outgoing interactions) and a sink (its incoming ones) —
-  * Section 3 allows source == sink, and this is the standard reduction.
+  * is its distinct cycle arcs, the seed split into a source (its outgoing arcs)
+  * and a sink (its incoming ones) — Section 3 allows source == sink, and this
+  * is the standard reduction.
   * Subgraphs with more than `maxInteractions` interactions are discarded,
   * like the paper's 10K cap (our LP substrate is a dense simplex, so the
   * default cap is lower; DESIGN.md §3).
@@ -35,9 +35,9 @@ object SubgraphExtractor {
   /** One interaction of one extracted subgraph, seed split already applied. */
   final case class TaggedInteraction(seed: Int, src: Int, dst: Int, ts: Long, qty: Double)
 
-  /** A fully collected subgraph (small by construction — the cap bounds it). */
-  final case class Subgraph(seed: Int, inters: Seq[Interaction]) {
-    def toFlowGraph: FlowGraph = FlowGraph(SourceId, SinkId, inters)
+  /** A collected subgraph, small by the cap: each seed-split arc's interactions, sorted by timestamp. */
+  final case class Subgraph(seed: Int, edges: Map[(Int, Int), Vector[(Long, Double)]]) {
+    def toFlowGraph: FlowGraph = new FlowGraph(SourceId, SinkId, edges)
   }
 
   /** `f(adj, seed, arcs)` for every seed on a ≤3-hop cycle of `net`, where
@@ -65,22 +65,21 @@ object SubgraphExtractor {
 
   /** [[extract]]'s subgraphs, one row per interaction. */
   def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] =
-    extract(net, maxInteractions).flatMap(sg => sg.inters.map(i =>
-      TaggedInteraction(sg.seed, i.src, i.dst, i.ts, i.qty)))(Encoders.product[TaggedInteraction])
+    extract(net, maxInteractions).flatMap(sg => for (((s, d), es) <- sg.edges.iterator; (t, q) <- es.iterator)
+      yield TaggedInteraction(sg.seed, s, d, t, q))(Encoders.product[TaggedInteraction])
 
   /** Per-seed subgraphs, ready for the flow algorithms: each distinct cycle
-    * arc adds its edge's interactions, in timestamp order. A seed past
-    * `maxInteractions` is dropped before any interaction is copied.
+    * arc keeps the adjacency index's time-sorted interaction sequence. A seed
+    * past `maxInteractions` is dropped before its subgraph is built.
     */
   def extract(net: DataFrame, maxInteractions: Int): Dataset[Subgraph] = {
     import net.sparkSession.implicits._
     browse(net) { (adj, seed, arcs) =>
       val n = arcs.iterator.map { case (s, d) => adj.interactions(s, d).size.toLong }.sum
       Option.when(n <= maxInteractions) {
-        Subgraph(seed, arcs.iterator.flatMap { case (s, d) =>
-          val (ss, dd) = (if (s == seed) SourceId else s, if (d == seed) SinkId else d)
-          adj.interactions(s, d).iterator.map { case (t, q) => Interaction(ss, dd, t, q) }
-        }.toVector.sortBy(_.ts))
+        Subgraph(seed, arcs.iterator.map { case (s, d) =>
+          (if (s == seed) SourceId else s, if (d == seed) SinkId else d) -> adj.interactions(s, d)
+        }.toMap)
       }
     }.toDS()
   }
@@ -94,9 +93,8 @@ object SubgraphExtractor {
     import spark.implicits._
     val perSeed = subgraphs.map { sg =>
       def unsplit(v: Int) = if (v == SourceId || v == SinkId) Int.MinValue else v
-      val verts = sg.inters.flatMap(i => Seq(unsplit(i.src), unsplit(i.dst))).toSet.size
-      val edges = sg.inters.map(i => (unsplit(i.src), unsplit(i.dst))).toSet.size
-      (verts, edges, sg.inters.size)
+      val verts = sg.edges.keysIterator.flatMap { case (s, d) => Iterator(unsplit(s), unsplit(d)) }.toSet.size
+      (verts, sg.edges.size, sg.edges.valuesIterator.map(_.size).sum)
     }.toDF("v", "e", "i")
     val row = perSeed.agg(
       count(lit(1)), avg(col("v")), avg(col("e")), avg(col("i"))

@@ -33,7 +33,6 @@ object PatternExperiment {
       /** Instance cap for P4's per-instance LP flows (both GB and PB),
         * mirroring the paper's P4* protocol. */
       p4Cap: Long = 3000L,
-      gbSlices: Int = 64,
   )
 
   final case class PatternRow(
@@ -89,7 +88,7 @@ object PatternExperiment {
     // ---- GB side: broadcast adjacency ----
     val adj     = AdjacencyIndex.fromNetwork(net)
     val adjB    = spark.sparkContext.broadcast(adj)
-    val vSlices = adj.slices(cfg.gbSlices)
+    val vSlices = adj.slices(64) // one GB task each
 
     /** GB over all slices: (instances, flow sum, capped) and its time in ms. */
     def gb(perSlice: Array[Int] => (Long, Double, Boolean)): ((Long, Double, Boolean), Double) = {
@@ -101,7 +100,7 @@ object PatternExperiment {
     }
 
     def rigid(p: Pattern, cap: Long): Array[Int] => (Long, Double, Boolean) = {
-      val capPerTask = math.max(1L, cap / cfg.gbSlices)
+      val capPerTask = math.max(1L, cap / vSlices.size)
       sl => {
         val (n, f) = GraphBrowsing.enumerateWithFlow(adjB.value, p, capPerTask, Some(sl))
         (n, f, n >= capPerTask)

@@ -33,11 +33,11 @@ final case class Pattern(
   def predecessors(p: Int): Vector[Int] = edges.collect { case (u, v) if v == p => u }
 
   /** An instance's flow graph over pattern-vertex ids, given each edge's
-    * interactions in `edges` order (source and sink stay separate nodes even
-    * when their labels coincide — the cycle split).
+    * interactions, sorted by timestamp, in `edges` order (source and sink
+    * stay separate nodes even when their labels coincide — the cycle split).
     */
-  def flowGraph(interactions: Seq[Seq[(Long, Double)]]): FlowGraph =
-    FlowGraph.fromEdges(source, sink, edges.zip(interactions).toMap)
+  def flowGraph(interactions: Seq[Vector[(Long, Double)]]): FlowGraph =
+    new FlowGraph(source, sink, edges.zip(interactions).toMap)
 }
 
 /** The reconstructed pattern set of Figure 12 (the figure itself is absent

@@ -15,7 +15,8 @@ import repro.maxflow.TimeExpanded
   *   preprocessing and simplification preserve the max flow,
   *   preprocessing is idempotent,
   *   Lemma 2 graphs: greedy == max flow,
-  *   and with tied timestamps: greedy <= max flow, LP == Pre == PreSim == max flow.
+  *   and with tied timestamps: greedy <= max flow, LP == Pre == PreSim == max flow;
+  *   the first three also with every quantity scaled by 10^-2..10^6 (`wide`).
   *
   * (Driven by raw ScalaCheck generators — the scalatest-scalacheck bridge is
   * not among the offline dependencies, so sampling is explicit.)
@@ -49,20 +50,23 @@ class InvariantPropertiesSpec extends SparkSpec {
     */
   private val cyclicShapes = Seq(TestGraphs.genMaybeCyclic(), TestGraphs.genMaybeCyclic(maxV = 12))
 
+  /** `gen`, then `gen` with wide quantities. */
+  private def withWide(gen: Gen[FlowGraph]): Seq[Gen[FlowGraph]] = Seq(gen, TestGraphs.wide(gen))
+
   test("property: greedy never exceeds the max flow (DAGs)") {
-    checkProp("greedy<=max", TestGraphs.genDag()) { g =>
+    for (gen <- withWide(TestGraphs.genDag())) checkProp("greedy<=max", gen) { g =>
       Greedy.flow(g) <= maxFlowRef(g) + Tol
     }
   }
 
   test("property: LP equals time-expanded Dinic (DAGs)") {
-    checkProp("lp==dinic", TestGraphs.genDag()) { g =>
+    for (gen <- withWide(TestGraphs.genDag())) checkProp("lp==dinic", gen) { g =>
       math.abs(MaxFlowLP.maxFlow(g) - maxFlowRef(g)) < Tol
     }
   }
 
   test("property: LP equals time-expanded Dinic (cyclic shapes)") {
-    checkProp("lp==dinic/cyclic", TestGraphs.genMaybeCyclic()) { g =>
+    for (gen <- withWide(TestGraphs.genMaybeCyclic())) checkProp("lp==dinic/cyclic", gen) { g =>
       math.abs(MaxFlowLP.maxFlow(g) - maxFlowRef(g)) < Tol
     }
   }
@@ -97,7 +101,7 @@ class InvariantPropertiesSpec extends SparkSpec {
   }
 
   test("property: Pre and PreSim equal LP") {
-    checkProp("pre/presim", TestGraphs.genDag()) { g =>
+    for (gen <- withWide(TestGraphs.genDag())) checkProp("pre/presim", gen) { g =>
       val ref = maxFlowRef(g)
       math.abs(FlowPipeline.pre(g).flow - ref) < Tol &&
       math.abs(FlowPipeline.preSim(g).flow - ref) < Tol
@@ -105,7 +109,7 @@ class InvariantPropertiesSpec extends SparkSpec {
   }
 
   test("property: Pre and PreSim equal the max flow on cyclic shapes") {
-    for (gen <- cyclicShapes) checkProp("pre/presim/cyclic", gen) { g =>
+    for (gen <- cyclicShapes.flatMap(withWide)) checkProp("pre/presim/cyclic", gen) { g =>
       val ref = maxFlowRef(g)
       math.abs(FlowPipeline.pre(g).flow - ref) < Tol &&
       math.abs(FlowPipeline.preSim(g).flow - ref) < Tol

@@ -164,4 +164,14 @@ object TestGraphs {
     */
   def tied(gen: Gen[FlowGraph]): Gen[FlowGraph] =
     gen.map(g => FlowGraph(g.source, g.sink, g.interactions.map(i => i.copy(ts = i.ts / 3))))
+
+  /** `gen` with every quantity scaled by `10^u`, `u` uniform in [-2, 6], so
+    * one graph mixes quantities from about 1e-2 to 1e7 against the solvers'
+    * absolute `Eps`.
+    */
+  def wide(gen: Gen[FlowGraph]): Gen[FlowGraph] =
+    for {
+      g  <- gen
+      us <- Gen.listOfN(g.interactionCount, Gen.choose(-2.0, 6.0))
+    } yield FlowGraph(g.source, g.sink, g.interactions.zip(us).map { case (i, u) => i.copy(qty = i.qty * math.pow(10, u)) })
 }

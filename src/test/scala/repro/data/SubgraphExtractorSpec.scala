@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
-import repro.core.{FlowPipeline, Interaction}
+import repro.core.{FlowGraph, FlowPipeline, Interaction}
 
 /** Tests for the seed-cycle subgraph extraction (Section 6.2 protocol),
   * with the cycle arcs and the extracted interactions verified against
@@ -105,9 +105,9 @@ class SubgraphExtractorSpec extends SparkSpec {
 
   test("extracted subgraph for seed 1 contains both directions of the 2-cycle") {
     val sg = SubgraphExtractor.extract(net, 1000).collect().find(_.seed == 1).get
-    val pairs = sg.inters.map(i => (i.src, i.dst)).toSet
-    assert(pairs === Set((SubgraphExtractor.SourceId, 2), (2, SubgraphExtractor.SinkId)))
-    assert(sg.inters.size === 3)
+    assert(sg.edges === Map(
+      (SubgraphExtractor.SourceId, 2) -> Vector((1L, 5.0), (3L, 2.0)),
+      (2, SubgraphExtractor.SinkId)   -> Vector((2L, 3.0))))
   }
 
   test("flow of the seed-1 subgraph: out 5+2 via (1,2), back min at (2,1)") {
@@ -119,8 +119,7 @@ class SubgraphExtractorSpec extends SparkSpec {
 
   test("3-cycle subgraph carries all three edges") {
     val sg = SubgraphExtractor.extract(net, 1000).collect().find(_.seed == 3).get
-    val pairs = sg.inters.map(i => (i.src, i.dst)).toSet
-    assert(pairs === Set((SubgraphExtractor.SourceId, 4), (4, 5), (5, SubgraphExtractor.SinkId)))
+    assert(sg.edges.keySet === Set((SubgraphExtractor.SourceId, 4), (4, 5), (5, SubgraphExtractor.SinkId)))
   }
 
   test("interaction cap discards oversized subgraphs") {
@@ -247,17 +246,27 @@ class SubgraphExtractorSpec extends SparkSpec {
                dst = if (i.dst == seed) SubgraphExtractor.SinkId else i.dst)
     }
     val want = arcs.keys.map(a => a -> subgraph(a)).toMap
-    val byInteraction = Ordering.by((i: Interaction) => (i.src, i.dst, i.ts, i.qty))
     // Each seed's size and one less: every seed is once at its cap exactly.
     val caps = want.values.map(_.size).toSeq.flatMap(n => Seq(n - 1, n)).distinct.sorted
     for (cap <- caps) {
-      val got = SubgraphExtractor.extract(net, cap).collect()
-      assert(got.map(_.seed).toSeq.sorted === want.collect { case (a, is) if is.size <= cap => a }.toSeq.sorted,
-        s"cap $cap: kept seeds")
+      val ds   = SubgraphExtractor.extract(net, cap).cache()
+      val got  = ds.collect()
+      val kept = want.collect { case (a, is) if is.size <= cap => a }.toSeq.sorted
+      assert(got.map(_.seed).toSeq.sorted === kept, s"cap $cap: kept seeds")
       got.foreach { sg =>
-        assert(sg.inters.map(_.ts) === sg.inters.map(_.ts).sorted, s"cap $cap seed ${sg.seed}: not in time order")
-        assert(sg.inters.sorted(byInteraction) === want(sg.seed).sorted(byInteraction), s"cap $cap seed ${sg.seed}")
+        assert(sg.toFlowGraph == FlowGraph(SubgraphExtractor.SourceId, SubgraphExtractor.SinkId, want(sg.seed)),
+          s"cap $cap seed ${sg.seed}")
       }
+      if (kept.nonEmpty) {
+        // Table 5 counts on the unsplit subgraph: its arcs and their ends.
+        def avg(f: Int => Int) = kept.map(f).sum.toDouble / kept.size
+        val (n, avgV, avgE, avgI) = SubgraphExtractor.stats(ds)
+        assert(n === kept.size, s"cap $cap: stats count")
+        assert(math.abs(avgV - avg(a => arcs(a).flatMap { case (u, w) => Seq(u, w) }.size)) < 1e-9, s"cap $cap: avg vertices")
+        assert(math.abs(avgE - avg(arcs(_).size)) < 1e-9, s"cap $cap: avg edges")
+        assert(math.abs(avgI - avg(want(_).size)) < 1e-9, s"cap $cap: avg interactions")
+      }
+      ds.unpersist()
     }
   }
 }

@@ -54,13 +54,13 @@ class HarnessSmokeSpec extends SparkSpec {
   test("PatternExperiment releases every cache it creates") {
     spark.catalog.clearCache()
     PatternExperiment.run(spark,
-      PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L, gbSlices = 4))
+      PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L))
     assert(spark.sharedState.cacheManager.isEmpty)
   }
 
   test("PatternExperiment end-to-end on a tiny prosper network") {
     val report = PatternExperiment.run(spark,
-      PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L, gbSlices = 4))
+      PatternExperiment.Config("prosper", 0.0003, gbCap = 100_000L, p4Cap = 50L))
     val names = report.rows.map(_.pattern)
     assert(names.contains("P1") && names.contains("RP1"), "prosper run must include chain patterns")
     assert(names.contains("P3") && names.contains("RP3"))

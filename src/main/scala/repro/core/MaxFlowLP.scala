@@ -9,7 +9,7 @@ import scala.collection.mutable
   * source (source-outgoing interactions are fixed at `x_i = q_i` — the
   * source's buffer is infinite so sending less can never help). Constraints:
   *
-  *   (1)  0 <= x_i <= q_i                                     (bound rows)
+  *   (1)  0 <= x_i <= q_i                                     (column bounds)
   *   (2)  x_i <= Σ_{in before t_i} x_j − Σ_{out before t_i} x_j  per interaction
   *   (3)  maximize Σ_{dest_i = sink} x_i
   *
@@ -20,11 +20,15 @@ import scala.collection.mutable
   * earlier sends of the same timestamp count against the buffer too, so two
   * same-time sends cannot spend it twice.
   *
-  * The LP is handed to [[repro.lp.Simplex]] (the lpsolve substitute).
+  * Like lpsolve, the paper's solver, [[repro.lp.Simplex]] takes (1) as
+  * column bounds, so the LP has one row of (2) per variable; an infinite
+  * `q_i` leaves `x_i` unbounded above.
   */
 object MaxFlowLP {
 
-  /** Max flow value plus the size of the LP actually solved. */
+  /** Max flow value plus the size of the LP actually solved: its variables
+    * and its rows of (2), one per variable.
+    */
   final case class Result(flow: Double, numVariables: Int, numConstraints: Int)
 
   def maxFlow(g: FlowGraph): Double = solve(g).flow
@@ -85,17 +89,7 @@ object MaxFlowLP {
 
     if (n == 0) return Result(direct, 0, 0)
 
-    // Bound rows x_i <= q_i (skipped for infinite quantities).
-    bound.indices.foreach { x =>
-      if (!bound(x).isInfinity) {
-        val row = new Array[Double](n)
-        row(x) = 1.0
-        rows += row
-        rhs += bound(x)
-      }
-    }
-
-    val sol = Simplex.maximize(rows.toArray, rhs.toArray, c)
+    val sol = Simplex.maximize(rows.toArray, rhs.toArray, c, bound)
     Result(sol.value + direct, n, rows.length)
   }
 }

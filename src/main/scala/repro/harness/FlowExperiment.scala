@@ -27,10 +27,11 @@ object FlowExperiment {
       /** Discard subgraphs with more interactions (paper used 10K; our dense
         * simplex substrate motivates a lower default, DESIGN.md §3). */
       maxInteractions: Int = Defaults.maxInteractions,
-      /** Measure at most this many subgraphs (deterministic sample). The
-        * paper timed all 48.7K Bitcoin subgraphs with a C implementation;
-        * sampling keeps the per-subgraph averages while bounding bench
-        * wall-clock on the JVM. Non-positive = measure all. */
+      /** Measure about this many subgraphs (Bernoulli sample, seed 42:
+        * each subgraph is kept independently, so the count varies around
+        * it). The paper timed all 48.7K Bitcoin subgraphs with a C
+        * implementation; sampling keeps the per-subgraph averages while
+        * bounding bench wall-clock on the JVM. Non-positive = measure all. */
       maxSubgraphs: Int = 2500,
   )
 

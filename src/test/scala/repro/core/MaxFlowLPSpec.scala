@@ -101,9 +101,9 @@ class MaxFlowLPSpec extends SparkSpec {
     assert(math.abs(MaxFlowLP.maxFlow(g) - 10.0) < Tol)
   }
 
-  test("numConstraints counts buffer rows plus finite bound rows") {
+  test("numConstraints counts buffer rows") {
     val r = MaxFlowLP.solve(TestGraphs.fig3)
-    assert(r.numConstraints === 6) // 3 buffer + 3 bounds
+    assert(r.numConstraints === 3) // bounds are columns, not rows
   }
 
   test("same-time sends share the sender's buffer") {
@@ -127,7 +127,20 @@ class MaxFlowLPSpec extends SparkSpec {
       (1, 2) -> Seq((3L, 5.0)),
     ))
     val r = MaxFlowLP.solve(g)
-    assert(r.numConstraints === 4) // 2 buffer + 2 bounds
+    assert(r.numConstraints === 2)
     assert(math.abs(r.flow - 5.0) < Tol)
+  }
+
+  test("every buffer row infinite: the LP is its column bounds") {
+    // an infinite synthetic source feeds v, so v's row is vacuous and the
+    // LP has no binding row; x(v, t) stops at its bound 5.
+    val g = FlowGraph.fromEdges(0, 2, Map(
+      (0, 1) -> Seq((1L, Double.PositiveInfinity)),
+      (1, 2) -> Seq((2L, 5.0)),
+    ))
+    val r = MaxFlowLP.solve(g)
+    assert(r.numVariables === 1 && r.numConstraints === 1)
+    assert(math.abs(r.flow - 5.0) < Tol)
+    assert(r.flow === TimeExpanded.maxFlow(g))
   }
 }

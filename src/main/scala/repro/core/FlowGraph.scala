@@ -138,10 +138,6 @@ object FlowGraph {
   def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph =
     new FlowGraph(source, sink, groupEdges(inters))
 
-  /** Build from an explicit edge map (sequences are re-sorted defensively). */
-  def fromEdges(source: Int, sink: Int, edges: Map[(Int, Int), Seq[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, edges.view.mapValues(_.sortBy(_._1).toVector).toMap)
-
   /** Figure 4: connect multiple sources/sinks to one synthetic source/sink.
     *
     * Each synthetic source edge gets a single interaction with the smallest

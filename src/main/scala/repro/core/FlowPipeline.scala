@@ -8,7 +8,10 @@ package repro.core
   *  - '''Pre''': Lemma-2 solubility check → greedy; else Algorithm-1
   *    preprocessing, re-check, greedy or LP.
   *  - '''PreSim''': Pre, and when LP is still needed, Algorithm-2
-  *    simplification first (the paper's complete solution).
+  *    simplification first (the paper's complete solution). There is no
+  *    second solubility check after it: simplification keeps the out-degree
+  *    of every vertex it keeps, and when the source has no in-edge it breaks
+  *    no cycle, so the Lemma 2 verdict cannot change (DESIGN.md §2).
   *
   * Classes: '''A''' — soluble by greedy as-is; '''B''' — soluble by greedy
   * after preprocessing (including graphs proved zero-flow by preprocessing);
@@ -45,13 +48,7 @@ object FlowPipeline {
       else if (Solubility.solvableByGreedy(p.graph))
         Outcome(Greedy.flow(p.graph), ClassB, usedLP = false)
       else if (!simplify) Outcome(MaxFlowLP.maxFlow(p.graph), ClassC, usedLP = true)
-      else {
-        val s = Simplify.run(p.graph).graph
-        // Simplification can leave a graph that is now greedy-soluble (a
-        // cheap final check that only helps; DESIGN.md §2).
-        if (Solubility.solvableByGreedy(s)) Outcome(Greedy.flow(s), ClassC, usedLP = false)
-        else Outcome(MaxFlowLP.maxFlow(s), ClassC, usedLP = true)
-      }
+      else Outcome(MaxFlowLP.maxFlow(Simplify.run(p.graph).graph), ClassC, usedLP = true)
     }
   }
 }

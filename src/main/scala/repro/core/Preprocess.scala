@@ -23,7 +23,8 @@ import scala.collection.mutable
   * is the same in any vertex order. In topological order, as in the paper,
   * the first pass does nearly all the work; cycle-seed subgraphs (Section
   * 6.2) may contain directed cycles between intermediate vertices, and those
-  * use sorted vertex order (DESIGN.md §2).
+  * use sorted vertex order (DESIGN.md §2). When nothing is deleted, `g`
+  * itself is returned, with the neighbour lists and orders it has computed.
   */
 object Preprocess {
 
@@ -42,6 +43,7 @@ object Preprocess {
     // through `g`'s own neighbour lists (preprocessing only deletes).
     val live  = mutable.Map.from(g.edges)
     val order = g.topologicalOrder.getOrElse(g.vertices.toVector.sorted)
+    var deleted = false
     var changed = true
     while (changed) {
       changed = false
@@ -62,7 +64,9 @@ object Preprocess {
         }
       }
       if (cleanupReachability(g, live)) changed = true
+      deleted ||= changed
     }
+    if (!deleted) return Result(g, 0, 0, 0)
     val out = new FlowGraph(g.source, g.sink, live.toMap)
     Result(out, g.interactionCount - out.interactionCount, g.edgeCount - out.edgeCount,
       g.vertexCount - out.vertexCount)

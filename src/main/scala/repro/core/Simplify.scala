@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** Graph simplification (Section 4.2.4, Algorithm 2, Lemma 3).
   *
   * Any chain `s -> v1 -> … -> vk` hanging off the source — every `vi`, `i<k`,
@@ -10,11 +12,12 @@ package repro.core
   * the sink, so greedy is exact there). If an edge `(s, vk)` already exists,
   * the interaction sets are merged.
   *
-  * Simplification runs in rounds over immutable graphs: a round reduces every
-  * maximal source chain of its graph at once and builds the next graph.
-  * Interior vertices have in-degree 1, so one round's chains are
-  * vertex-disjoint apart from shared ends. Merging may surface new chains
-  * (Figure 7's example), so rounds repeat until one finds no chain.
+  * One edge map and a worklist of chain starts, seeded with the source's
+  * out-neighbours. A reduction deletes only edges out of `s` and out of the
+  * chain's interior vertices and adds only `(s, vk)`, so every vertex it
+  * keeps, `s` aside, keeps `g`'s out-list, and only `vk`'s in-degree
+  * changes. Merging may make `vk` a chain start (Figure 7's example), so `vk`
+  * goes back on the worklist. When no chain exists, `g` itself is returned.
   *
   * Each removed edge is processed once by a greedy scan, so the whole
   * procedure is linear in the number of interactions.
@@ -24,52 +27,42 @@ object Simplify {
   final case class Result(graph: FlowGraph, chainsReduced: Int, removedInteractions: Int)
 
   def run(g: FlowGraph): Result = {
-    var cur    = g
-    var chains = sourceChains(cur)
-    var count  = 0
-    while (chains.nonEmpty) {
-      cur = reduce(cur, chains)
-      count += chains.size
-      chains = sourceChains(cur)
-    }
-    Result(new FlowGraph(g.source, g.sink, cur.edges.filter(_._2.nonEmpty)), count,
-      g.interactionCount - cur.interactionCount)
-  }
-
-  /** Every maximal chain `v1 … vk` off the source. `v1 … v(k-1)` are interior
-    * vertices: neither source nor sink, one in- and one out-neighbour, no
-    * self-loop and no edge back to the source; `v1`'s in-neighbour is the
-    * source. A walk along interior vertices cannot revisit one (each has a
-    * single in-neighbour, and `v1`'s is the source), so it ends at `vk`.
-    */
-  private def sourceChains(g: FlowGraph): Vector[Vector[Int]] = {
+    val s     = g.source
+    var edges = g.edges // persistent: a reduction shares every edge it keeps
+    val inDeg = mutable.LongMap.withDefault[Int](_ => 0)
+    g.edges.keysIterator.foreach { case (_, d) => inDeg(d) += 1 }
+    // Interior: one in- and one out-neighbour, no self-loop, no edge back to
+    // `s`. A walk along interior vertices cannot revisit one (each has a
+    // single in-neighbour, and the chain start's is `s`).
     def interior(v: Int): Boolean =
-      v != g.source && v != g.sink && g.inDegree(v) == 1 && g.outDegree(v) == 1 && {
+      v != s && v != g.sink && inDeg(v) == 1 && g.outDegree(v) == 1 && {
         val u = g.outNeighbors(v).head
-        u != v && u != g.source
+        u != v && u != s
       }
-    g.outNeighbors(g.source).toVector
-      .filter(v1 => interior(v1) && g.inNeighbors(v1).head == g.source)
-      .map { v1 =>
-        val chain = Vector.newBuilder[Int]
-        var v     = v1
-        while (interior(v)) { chain += v; v = g.outNeighbors(v).head }
-        (chain += v).result()
+    val work    = mutable.Queue.from(g.outNeighbors(s))
+    var count   = 0
+    var removed = 0
+    while (work.nonEmpty) {
+      val v1 = work.dequeue()
+      if (edges.contains((s, v1)) && interior(v1)) {
+        val path = mutable.ArrayBuffer((s, v1))
+        var v    = v1
+        while (interior(v)) { path += ((v, g.outNeighbors(v).head)); v = path.last._2 }
+        val seqs     = path.toSeq.map(edges)
+        val arrivals = Greedy.chain(seqs).sinkArrivals
+        edges --= path
+        // The merged `(s, vk)` is kept even when it carries nothing, so `vk`
+        // still counts `s` as an in-neighbour; empty edges go at the end.
+        edges.get((s, v)) match {
+          case Some(es) => edges += (s, v) -> (es ++ arrivals).sortBy(_._1); inDeg(v) -= 1
+          case None     => edges += (s, v) -> arrivals
+        }
+        work += v
+        count += 1
+        removed += seqs.map(_.size).sum - arrivals.size
       }
-  }
-
-  /** Replace each chain by the Greedy arrivals into its end (Lemma 3),
-    * merged into the `(s, vk)` edge. That edge is kept even when it carries
-    * nothing, so `vk` still counts the source as an in-neighbour and a later
-    * round can reduce through it, as a one-chain-at-a-time loop would; `run`
-    * drops empty edges at the end.
-    */
-  private def reduce(g: FlowGraph, chains: Vector[Vector[Int]]): FlowGraph = {
-    val paths    = chains.map(c => (g.source +: c).sliding(2).map(w => (w(0), w(1))).toVector)
-    val arrivals = paths.map(p => p.last._2 -> Greedy.chain(p.map(g.edges)).sinkArrivals)
-    val merged = arrivals.groupMapReduce(_._1)(_._2)(_ ++ _).iterator.map { case (vk, as) =>
-      (g.source, vk) -> (g.edges.getOrElse((g.source, vk), Vector.empty) ++ as).sortBy(_._1)
     }
-    new FlowGraph(g.source, g.sink, g.edges -- paths.flatten ++ merged)
+    if (count == 0) Result(g, 0, 0)
+    else Result(new FlowGraph(s, g.sink, edges.filter(_._2.nonEmpty)), count, removed)
   }
 }

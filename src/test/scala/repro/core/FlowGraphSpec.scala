@@ -21,7 +21,7 @@ class FlowGraphSpec extends SparkSpec {
   }
 
   test("degrees count distinct neighbours, not interactions") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 1.0), (2L, 1.0), (3L, 1.0)),
       (1, 2) -> Seq((4L, 1.0)),
     ))
@@ -43,7 +43,7 @@ class FlowGraphSpec extends SparkSpec {
   }
 
   test("topological order is None for cyclic graphs") {
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 1.0)),
       (1, 2) -> Seq((2L, 1.0)),
       (2, 1) -> Seq((3L, 1.0)),
@@ -96,8 +96,8 @@ class FlowGraphSpec extends SparkSpec {
   }
 
   test("equality is structural") {
-    val a = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
-    val b = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
+    val a = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
+    val b = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
     assert(a === b)
   }
 }

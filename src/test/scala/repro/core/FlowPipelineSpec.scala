@@ -51,7 +51,7 @@ class FlowPipelineSpec extends SparkSpec {
   test("zero-flow graph detected by preprocessing is class B without LP") {
     // Vertex 1 has out-degree 2 (not class A), but both outgoing interactions
     // precede its earliest arrival: preprocessing proves the flow is 0.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 3.0)),
       (1, 3) -> Seq((2L, 6.0)),

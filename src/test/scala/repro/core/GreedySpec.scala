@@ -19,18 +19,18 @@ class GreedySpec extends SparkSpec {
   }
 
   test("source buffer is infinite: every source-outgoing interaction transfers fully") {
-    val g = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (2L, 7.0), (9L, 1.5))))
+    val g = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (2L, 7.0), (9L, 1.5))))
     assert(Greedy.flow(g) === 13.5)
   }
 
   test("single edge: flow is the sum of interaction quantities") {
-    val r = Greedy.run(FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((3L, 2.0), (5L, 4.0)))))
+    val r = Greedy.run(TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((3L, 2.0), (5L, 4.0)))))
     assert(r.flow === 6.0)
     assert(r.sinkArrivals === Vector((3L, 2.0), (5L, 4.0)))
   }
 
   test("an interaction before any inflow transfers nothing") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 4.0)),
     ))
@@ -38,7 +38,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("transfer is capped by the buffered quantity") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 3.0)),
       (1, 2) -> Seq((5L, 10.0)),
     ))
@@ -48,7 +48,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("transfer is capped by the interaction quantity") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 30.0)),
       (1, 2) -> Seq((5L, 10.0)),
     ))
@@ -69,7 +69,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("same-timestamp arrival is not forwardable by a same-timestamp send (strict semantics)") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((5L, 4.0)),
     ))
@@ -77,7 +77,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("two same-timestamp sends cannot double-spend the buffer") {
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 2) -> Seq((5L, 5.0)),
       (1, 3) -> Seq((5L, 5.0)),
@@ -91,7 +91,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("sink arrivals report only positive transfers") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((4L, 2.0)),
       (1, 2) -> Seq((1L, 3.0), (6L, 1.0), (8L, 5.0)),
     ))
@@ -127,7 +127,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("buffered quantities do not expire") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 2) -> Seq((1000000L, 5.0)),
     ))

@@ -14,6 +14,8 @@ import repro.maxflow.TimeExpanded
   *   Pre == PreSim == LP,
   *   preprocessing and simplification preserve the max flow,
   *   preprocessing is idempotent,
+  *   simplification after preprocessing keeps the Lemma 2 verdict and
+  *   reaches a fixpoint,
   *   Lemma 2 graphs: greedy == max flow,
   *   and with tied timestamps: greedy <= max flow, LP == Pre == PreSim == max flow;
   *   the first three also with every quantity scaled by 10^-2..10^6 (`wide`).
@@ -97,6 +99,21 @@ class InvariantPropertiesSpec extends SparkSpec {
   test("property: simplification preserves the max flow") {
     checkProp("simplify", TestGraphs.genDag()) { g =>
       math.abs(maxFlowRef(g) - maxFlowRef(Simplify.run(g).graph)) < Tol
+    }
+  }
+
+  test("property: simplifying a preprocessed graph keeps its Lemma 2 verdict and reaches a fixpoint") {
+    // Why PreSim has no solubility check after simplification: the source
+    // has no in-edge in any of these shapes, as in every subgraph and
+    // pattern instance.
+    val gens = TestGraphs.genDag() +: cyclicShapes
+    for (gen <- gens ++ gens.map(TestGraphs.tied)) checkProp("simplify/lemma2", gen) { g =>
+      val p = Preprocess.run(g)
+      p.zeroFlow || {
+        val s = Simplify.run(p.graph).graph
+        Solubility.solvableByGreedy(s) == Solubility.solvableByGreedy(p.graph) &&
+        Simplify.run(s).chainsReduced == 0
+      }
     }
   }
 

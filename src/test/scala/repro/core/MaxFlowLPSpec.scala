@@ -20,14 +20,14 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("single edge from source: constant-only objective") {
-    val g = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (2L, 2.5))))
+    val g = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (2L, 2.5))))
     val r = MaxFlowLP.solve(g)
     assert(r.numVariables === 0)
     assert(math.abs(r.flow - 7.5) < Tol)
   }
 
   test("two-hop relay bounded by arrival time") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 4.0), (9L, 3.0)),
     ))
@@ -60,7 +60,7 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("same-timestamp relay forbidden in LP too") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((5L, 4.0)),
     ))
@@ -68,7 +68,7 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("cyclic intermediate structure is solved (LP needs no topological order)") {
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 6.0)),
       (1, 2) -> Seq((2L, 4.0)),
       (2, 1) -> Seq((3L, 4.0)),
@@ -82,7 +82,7 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("direct source-sink interactions contribute as constants") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 2) -> Seq((1L, 2.0)),
       (0, 1) -> Seq((2L, 3.0)),
       (1, 2) -> Seq((3L, 3.0)),
@@ -93,7 +93,7 @@ class MaxFlowLPSpec extends SparkSpec {
   test("quantity is split across future interactions optimally") {
     // s sends 10 to v at t=1; v can forward 6 at t=2 to a dead-end vertex w
     // or keep for the sink edge at t=3 with quantity 10.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 10.0)),
       (1, 2) -> Seq((2L, 6.0)),   // w = 2, no outgoing: wasted
       (1, 3) -> Seq((3L, 10.0)),
@@ -109,7 +109,7 @@ class MaxFlowLPSpec extends SparkSpec {
   test("same-time sends share the sender's buffer") {
     // v holds 5 when it sends 5 to a and 5 to b at t=2, so at most 5 reaches
     // t; a row per send against the pre-group buffer alone would allow 10.
-    val g = FlowGraph.fromEdges(0, 4, Map(
+    val g = TestGraphs.fromEdges(0, 4, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 2) -> Seq((2L, 5.0)),
       (1, 3) -> Seq((2L, 5.0)),
@@ -121,7 +121,7 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("a self-loop gives one buffer row") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 1) -> Seq((2L, 3.0)),
       (1, 2) -> Seq((3L, 5.0)),
@@ -134,7 +134,7 @@ class MaxFlowLPSpec extends SparkSpec {
   test("every buffer row infinite: the LP is its column bounds") {
     // an infinite synthetic source feeds v, so v's row is vacuous and the
     // LP has no binding row; x(v, t) stops at its bound 5.
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, Double.PositiveInfinity)),
       (1, 2) -> Seq((2L, 5.0)),
     ))

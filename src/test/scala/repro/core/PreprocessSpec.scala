@@ -64,8 +64,14 @@ class PreprocessSpec extends SparkSpec {
     assert(r.graph.edges === TestGraphs.chain4.edges)
   }
 
+  test("nothing to prune: the input graph itself is returned") {
+    val r = Preprocess.run(TestGraphs.lemma2Dag)
+    assert(r.graph eq TestGraphs.lemma2Dag)
+    assert((r.removedInteractions, r.removedEdges, r.removedVertices) === ((0, 0, 0)))
+  }
+
   test("sink losing all incoming edges proves zero flow") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 4.0)), // earlier than any arrival into 1
     ))
@@ -75,7 +81,7 @@ class PreprocessSpec extends SparkSpec {
   }
 
   test("vertex with no incoming edges is removed with its outgoing edges") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 2) -> Seq((1L, 3.0)),
       (1, 2) -> Seq((2L, 4.0)), // vertex 1 has no incoming: removable
     ))
@@ -86,7 +92,7 @@ class PreprocessSpec extends SparkSpec {
   }
 
   test("upward cascade: dead-end vertex deletes its feeder chain") {
-    val g = FlowGraph.fromEdges(0, 4, Map(
+    val g = TestGraphs.fromEdges(0, 4, Map(
       (0, 1) -> Seq((1L, 3.0)),
       (1, 2) -> Seq((2L, 3.0)), // 2 leads only to dead-end 3
       (2, 3) -> Seq((0L, 5.0)), // pruned: 0 < 2 -> edge gone -> 3 unreachable
@@ -98,7 +104,7 @@ class PreprocessSpec extends SparkSpec {
   }
 
   test("non-DAG fallback: fixpoint pruning on a cyclic subgraph") {
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((5L, 6.0)),
       (1, 2) -> Seq((6L, 4.0)),
       (2, 1) -> Seq((1L, 4.0)), // before any arrival into 2: prunable
@@ -115,7 +121,7 @@ class PreprocessSpec extends SparkSpec {
   test("a vertex cut off inside a cycle no longer feeds the timestamp rule") {
     // Pruning (1,2)@1 leaves 2 without incoming edges, so (2,1) is deleted;
     // 1's earliest arrival is then (0,1)@5, after its only send to the sink.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 1.0)),
       (2, 1) -> Seq((2L, 1.0)),
@@ -129,7 +135,7 @@ class PreprocessSpec extends SparkSpec {
   test("a 2000-vertex dead-end chain is deleted on a 1 MB thread stack") {
     val n    = 2000
     val sink = n + 2
-    val g = FlowGraph.fromEdges(0, sink, (0 until n).map(i => (i, i + 1) -> Seq(((10 + i).toLong, 1.0))).toMap ++ Map(
+    val g = TestGraphs.fromEdges(0, sink, (0 until n).map(i => (i, i + 1) -> Seq(((10 + i).toLong, 1.0))).toMap ++ Map(
       (n, n + 1)    -> Seq(((10 + n).toLong, 1.0)),
       (n + 1, sink) -> Seq((1L, 1.0)), // before any arrival into n+1: pruned
       (0, sink)     -> Seq((5L, 2.0)),
@@ -146,7 +152,7 @@ class PreprocessSpec extends SparkSpec {
 
   test("pruning does not remove interactions at exactly the minimum incoming timestamp") {
     // Algorithm 1 deletes strictly smaller timestamps only (t < mintime).
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((5L, 4.0), (7L, 1.0)),
     ))

@@ -55,9 +55,15 @@ class SimplifySpec extends SparkSpec {
     assert(r.chainsReduced === 0)
   }
 
+  test("no source chain: the input graph itself is returned") {
+    val r = Simplify.run(TestGraphs.fig3)
+    assert(r.graph eq TestGraphs.fig3)
+    assert(r.removedInteractions === 0)
+  }
+
   test("chain reduction stops at a vertex with in-degree > 1") {
     // s->a->b, s->b: chain s->a stops at b (b has in-degree 2).
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 2) -> Seq((2L, 3.0)),
       (0, 2) -> Seq((3L, 4.0)),
@@ -69,7 +75,7 @@ class SimplifySpec extends SparkSpec {
   }
 
   test("a 2-cycle with the source is not treated as a chain") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 0) -> Seq((2L, 2.0)),
       (0, 2) -> Seq((3L, 4.0)),
@@ -79,7 +85,7 @@ class SimplifySpec extends SparkSpec {
   }
 
   test("chain whose greedy flow is zero removes the edge entirely") {
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 4.0)), // too early: nothing arrives at 2
       (2, 3) -> Seq((9L, 9.0)),

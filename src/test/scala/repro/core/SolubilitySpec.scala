@@ -18,12 +18,12 @@ class SolubilitySpec extends SparkSpec {
   }
 
   test("single edge is a soluble chain") {
-    val g = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 1.0))))
+    val g = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 1.0))))
     assert(Solubility.solvableByGreedy(g))
   }
 
   test("intermediate vertex with zero outgoing edges breaks the condition") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 1.0)),
       (0, 2) -> Seq((2L, 1.0)),
     ))
@@ -34,7 +34,7 @@ class SolubilitySpec extends SparkSpec {
   test("cyclic graph is not soluble even with out-degrees 1") {
     // 1 <-> 2 cycle; every intermediate has out-degree exactly 1 but the
     // graph is not a DAG, so Lemma 2 does not apply.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 1.0)),
       (1, 2) -> Seq((2L, 1.0)),
       (2, 1) -> Seq((3L, 1.0)),
@@ -43,7 +43,7 @@ class SolubilitySpec extends SparkSpec {
   }
 
   test("sink with an outgoing edge violates the condition") {
-    val g2 = FlowGraph.fromEdges(0, 3, Map(
+    val g2 = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 1.0)),
       (1, 2) -> Seq((2L, 1.0)),
       (2, 3) -> Seq((3L, 1.0)),
@@ -63,7 +63,7 @@ class SolubilitySpec extends SparkSpec {
   }
 
   test("solubility check is purely structural (ignores quantities/timestamps)") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((100L, 1.0)),
       (1, 2) -> Seq((1L, 99.0)), // zero flow, still soluble
     ))

@@ -7,8 +7,12 @@ import org.scalacheck.Gen
   */
 object TestGraphs {
 
+  /** Build from an explicit edge map (sequences are re-sorted defensively). */
+  def fromEdges(source: Int, sink: Int, edges: Map[(Int, Int), Seq[(Long, Double)]]): FlowGraph =
+    new FlowGraph(source, sink, edges.view.mapValues(_.sortBy(_._1).toVector).toMap)
+
   /** Figure 3 / Tables 2–3: s=0, y=1, z=2, t=3. Greedy flow 1, max flow 5. */
-  val fig3: FlowGraph = FlowGraph.fromEdges(0, 3, Map(
+  val fig3: FlowGraph = fromEdges(0, 3, Map(
     (0, 1) -> Seq((1L, 5.0)),
     (0, 2) -> Seq((2L, 3.0)),
     (1, 2) -> Seq((3L, 5.0)),
@@ -17,7 +21,7 @@ object TestGraphs {
   ))
 
   /** A chain s→y→z→t (Lemma 1 territory): greedy == max. */
-  val chain4: FlowGraph = FlowGraph.fromEdges(0, 3, Map(
+  val chain4: FlowGraph = fromEdges(0, 3, Map(
     (0, 1) -> Seq((1L, 5.0), (7L, 4.0)),
     (1, 2) -> Seq((2L, 9.0), (5L, 3.0), (9L, 6.0)),
     (2, 3) -> Seq((6L, 3.0), (8L, 4.0)),
@@ -26,7 +30,7 @@ object TestGraphs {
   /** Lemma 2 graph: source has several outgoing edges, every other non-sink
     * vertex exactly one — soluble by greedy.
     */
-  val lemma2Dag: FlowGraph = FlowGraph.fromEdges(0, 4, Map(
+  val lemma2Dag: FlowGraph = fromEdges(0, 4, Map(
     (0, 1) -> Seq((1L, 5.0), (4L, 6.0)),
     (0, 2) -> Seq((2L, 7.0)),
     (1, 3) -> Seq((5L, 8.0)),
@@ -39,7 +43,7 @@ object TestGraphs {
     * (3,3) on (y,t), (4,2) on (z,t); no edges or vertices deleted).
     * Vertices: s=0, x=1, y=2, z=3, t=4.
     */
-  val g1Preprocess: FlowGraph = FlowGraph.fromEdges(0, 4, Map(
+  val g1Preprocess: FlowGraph = fromEdges(0, 4, Map(
     (0, 1) -> Seq((5L, 4.0)),
     (1, 2) -> Seq((2L, 7.0), (9L, 3.0)),
     (1, 3) -> Seq((1L, 2.0), (10L, 5.0)),
@@ -53,7 +57,7 @@ object TestGraphs {
     * *original* graph non-soluble (x has out-degree 2), i.e. class B.
     * Vertices: s=0, x=1, y=2, z=3, t=4.
     */
-  val g2Preprocess: FlowGraph = FlowGraph.fromEdges(0, 4, Map(
+  val g2Preprocess: FlowGraph = fromEdges(0, 4, Map(
     (0, 1) -> Seq((5L, 1.0), (8L, 2.0)),
     (1, 2) -> Seq((3L, 4.0)),
     (1, 3) -> Seq((2L, 9.0)),
@@ -65,7 +69,7 @@ object TestGraphs {
   /** Figure 1(a)-style toy network (z→t completed with a late interaction so
     * flow can reach t through z). s=0, x=1, y=2, z=3, t=4.
     */
-  val fig1: FlowGraph = FlowGraph.fromEdges(0, 4, Map(
+  val fig1: FlowGraph = fromEdges(0, 4, Map(
     (0, 1) -> Seq((1L, 3.0)),   // (s,x)
     (0, 2) -> Seq((2L, 6.0)),   // (s,y)
     (1, 3) -> Seq((5L, 5.0)),   // (x,z)
@@ -79,7 +83,7 @@ object TestGraphs {
     * s=0, y=1, x=2, z=3, w=4(sink).
     * Chain s→y→x→z reduces onto existing edge (s,z); then chain s→z→w.
     */
-  val fig7: FlowGraph = FlowGraph.fromEdges(0, 4, Map(
+  val fig7: FlowGraph = fromEdges(0, 4, Map(
     (0, 1) -> Seq((1L, 2.0), (5L, 1.0)),
     (1, 2) -> Seq((2L, 4.0), (6L, 2.0)),
     (2, 3) -> Seq((3L, 2.0), (7L, 1.0)),
@@ -91,7 +95,7 @@ object TestGraphs {
     * diamond with an extra useless early interaction to also exercise
     * pruning.
     */
-  val classC: FlowGraph = FlowGraph.fromEdges(0, 3, Map(
+  val classC: FlowGraph = fromEdges(0, 3, Map(
     (0, 1) -> Seq((1L, 5.0)),
     (0, 2) -> Seq((2L, 3.0)),
     (1, 2) -> Seq((3L, 5.0)),

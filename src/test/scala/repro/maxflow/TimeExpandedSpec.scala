@@ -22,12 +22,12 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("single edge: total quantity") {
-    val g = FlowGraph.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (9L, 2.0))))
+    val g = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 5.0), (9L, 2.0))))
     assert(math.abs(TimeExpanded.maxFlow(g) - 7.0) < Tol)
   }
 
   test("timing matters: outgoing before any arrival carries nothing") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((1L, 4.0)),
     ))
@@ -35,7 +35,7 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("same-timestamp relay is not allowed (strict before)") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((5L, 4.0)),
       (1, 2) -> Seq((5L, 4.0)),
     ))
@@ -43,7 +43,7 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("holdover: quantity waits arbitrarily long in a buffer") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 2) -> Seq((100L, 3.0), (200L, 3.0)),
     ))
@@ -58,7 +58,7 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("interactions into the source are never useful") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 5.0)),
       (1, 0) -> Seq((2L, 5.0)), // back to source: wasted if used
       (1, 2) -> Seq((3L, 5.0)),
@@ -71,7 +71,7 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("multiple interactions per edge use buffered remainder") {
-    val g = FlowGraph.fromEdges(0, 2, Map(
+    val g = TestGraphs.fromEdges(0, 2, Map(
       (0, 1) -> Seq((1L, 10.0)),
       (1, 2) -> Seq((2L, 4.0), (3L, 4.0), (4L, 4.0)),
     ))
@@ -80,7 +80,7 @@ class TimeExpandedSpec extends SparkSpec {
 
   test("cyclic subgraph between intermediates is handled") {
     // x and y exchange flow in both directions over time.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((1L, 6.0)),
       (1, 2) -> Seq((2L, 4.0)),
       (2, 1) -> Seq((3L, 4.0)),
@@ -93,7 +93,7 @@ class TimeExpandedSpec extends SparkSpec {
   test("a deep version chain solves on a 1 MB thread stack") {
     // w never receives, so its interactions are dropped, but each one still
     // gives v a version: the only s-t path runs through 5001 versions of v.
-    val g = FlowGraph.fromEdges(0, 3, Map(
+    val g = TestGraphs.fromEdges(0, 3, Map(
       (0, 1) -> Seq((0L, 5.0)),
       (2, 1) -> (1 to 5000).map(t => (t.toLong, 1.0)),
       (1, 3) -> Seq((5001L, 10.0)),

@@ -129,7 +129,7 @@ class GraphBrowsingSpec extends SparkSpec {
   test("relaxed cycle flows equal PreSim on the assembled union graph") {
     val rs = GraphBrowsing.relaxedCycles(multi, 2)
     val at1 = rs.find(_._1 == 1).get
-    val union = repro.core.FlowGraph.fromEdges(0, 9, Map(
+    val union = repro.core.TestGraphs.fromEdges(0, 9, Map(
       (0, 2) -> multi.interactions(1, 2), (2, 9) -> multi.interactions(2, 1),
       (0, 3) -> multi.interactions(1, 3), (3, 9) -> multi.interactions(3, 1),
       (0, 4) -> multi.interactions(1, 4), (4, 9) -> multi.interactions(4, 1),

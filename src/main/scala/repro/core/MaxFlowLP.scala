@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.lp.Simplex
-import scala.collection.mutable
 
 /** Maximum flow computation as a linear program (Section 4.2.1).
   *
@@ -33,63 +32,67 @@ object MaxFlowLP {
 
   def maxFlow(g: FlowGraph): Double = solve(g).flow
 
-  /** A vertex's buffer before the current timestamp group: the constant
-    * inflow from the source plus the variables that arrived, minus the
-    * variables of every send so far, same-time sends included.
-    */
-  private final class Buffer {
-    var fromSource = 0.0
-    val in, out    = mutable.ArrayBuffer.empty[Int]
-  }
-
   def solve(g: FlowGraph): Result = {
-    val inters = g.interactions
-    val source = g.source
-    val n      = inters.count(_.src != source)
+    val source = g.s
+    val sink   = g.t
+    val edgeOf = g.edgeOf
+    var n = 0
+    for (e <- 0 until g.edgeCount) if (g.src(e) != source) n += g.start(e + 1) - g.start(e)
 
-    val buffers = mutable.Map.empty[Int, Buffer]
-    def buffer(v: Int) = buffers.getOrElseUpdate(v, new Buffer)
+    // A vertex's buffer before the current timestamp group: the constant
+    // inflow from the source plus the variables that arrived, minus the
+    // variables of every send so far, same-time sends included. The
+    // variables of each list are chained through `next*`, newest first.
+    val fromSource = new Array[Double](g.n)
+    val inHead     = Array.fill(g.n)(-1)
+    val outHead    = Array.fill(g.n)(-1)
+    val inNext     = new Array[Int](n)
+    val outNext    = new Array[Int](n)
 
-    val varOf  = new Array[Int](inters.length) // variable of each position, -1 if sent by the source
+    val varOf  = new Array[Int](g.interactionCount) // variable of each position, -1 if sent by the source
     val c      = new Array[Double](n)
     val bound  = new Array[Double](n)
     var direct = 0.0 // source -> sink interactions: a constant objective term
     var vars   = 0
-    val rows   = mutable.ArrayBuffer.empty[Array[Double]]
-    val rhs    = mutable.ArrayBuffer.empty[Double]
+    val rows   = new Array[Array[Double]](n)
+    val rhs    = new Array[Double](n)
 
     // Constraint (2) of each send, against its sender's buffer.
-    FlowGraph.sweep(inters) { k =>
-      val i = inters(k)
-      if (i.src == source) {
-        varOf(k) = -1
-        if (i.dst == g.sink) direct += i.qty
+    g.sweep { p =>
+      val v = g.src(edgeOf(p))
+      val d = g.dst(edgeOf(p))
+      if (v == source) {
+        varOf(p) = -1
+        if (d == sink) direct += g.qty(p)
       } else {
         val x = vars
         vars += 1
-        varOf(k) = x
-        if (i.dst == g.sink) c(x) = 1.0
-        bound(x) = i.qty
-        val b   = buffer(i.src)
+        varOf(p) = x
+        if (d == sink) c(x) = 1.0
+        bound(x) = g.qty(p)
         val row = new Array[Double](n)
         row(x) = 1.0
-        b.out.foreach(o => row(o) += 1.0)
-        b.in.foreach(o => row(o) -= 1.0)
-        rows += row
-        rhs += b.fromSource
-        b.out += x
+        var o = outHead(v)
+        while (o >= 0) { row(o) += 1.0; o = outNext(o) }
+        o = inHead(v)
+        while (o >= 0) { row(o) -= 1.0; o = inNext(o) }
+        rows(x) = row
+        rhs(x) = fromSource(v)
+        outNext(x) = outHead(v)
+        outHead(v) = x
       }
-    } { k =>
-      val i = inters(k)
-      if (i.dst != source) {
-        val b = buffer(i.dst)
-        if (varOf(k) < 0) b.fromSource += i.qty else b.in += varOf(k)
+    } { p =>
+      val x = varOf(p)
+      val d = g.dst(edgeOf(p))
+      if (d != source) {
+        if (x < 0) fromSource(d) += g.qty(p)
+        else { inNext(x) = inHead(d); inHead(d) = x }
       }
     }
 
     if (n == 0) return Result(direct, 0, 0)
 
-    val sol = Simplex.maximize(rows.toArray, rhs.toArray, c, bound)
-    Result(sol.value + direct, n, rows.length)
+    val sol = Simplex.maximize(rows, rhs, c, bound)
+    Result(sol.value + direct, n, n)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Graph preprocessing (Section 4.2.3, Algorithm 1).
   *
   * A pass visits every vertex `v` other than the source and the sink:
@@ -39,54 +37,79 @@ object Preprocess {
   }
 
   def run(g: FlowGraph): Result = {
-    // The only state: the surviving interactions of each surviving edge, read
-    // through `g`'s own neighbour lists (preprocessing only deletes).
-    val live  = mutable.Map.from(g.edges)
-    val order = g.topologicalOrder.getOrElse(g.vertices.toVector.sorted)
+    // The only state, since Algorithm 1 deletes only prefixes of edges and
+    // whole edges: each edge's first surviving position, and a mask of the
+    // surviving edges, read through `g`'s own neighbour lists.
+    val first   = java.util.Arrays.copyOf(g.start, g.edgeCount)
+    val alive   = Array.fill(g.edgeCount)(true)
+    val order   = Option(g.topo).getOrElse(Array.range(0, g.n))
+    val out     = g.outStart
+    val inStart = g.inStart
+    val inEdge  = g.inEdge
     var deleted = false
     var changed = true
     while (changed) {
       changed = false
-      order.foreach { v =>
-        if (v != g.source && v != g.sink) {
-          // None: no incoming edge is left, so every outgoing one goes.
-          val minTs = g.inNeighbors(v).iterator.flatMap(w => live.get((w, v)))
-            .flatMap(_.headOption).map(_._1).minOption
-          g.outNeighbors(v).foreach { u =>
-            live.get((v, u)).foreach { es =>
-              val kept = minTs.fold(Vector.empty[(Long, Double)])(m => es.dropWhile(_._1 < m))
-              if (kept.size != es.size) {
-                changed = true
-                if (kept.isEmpty) live.remove((v, u)) else live((v, u)) = kept
-              }
-            }
+      for (v <- order) if (v != g.s && v != g.t) {
+        // hasIn false: no incoming interaction is left, so every outgoing one goes.
+        var hasIn = false
+        var minTs = Long.MaxValue
+        for (i <- inStart(v) until inStart(v + 1)) {
+          val e = inEdge(i)
+          if (alive(e) && first(e) < g.start(e + 1)) { hasIn = true; minTs = math.min(minTs, g.ts(first(e))) }
+        }
+        for (e <- out(v) until out(v + 1)) if (alive(e)) {
+          val end = g.start(e + 1)
+          var p   = first(e)
+          if (!hasIn) p = end else while (p < end && g.ts(p) < minTs) p += 1
+          if (p != first(e)) {
+            changed = true
+            first(e) = p
+            if (p == end) alive(e) = false
           }
         }
       }
-      if (cleanupReachability(g, live)) changed = true
+      if (cleanupReachability(g, alive)) changed = true
       deleted ||= changed
     }
     if (!deleted) return Result(g, 0, 0, 0)
-    val out = new FlowGraph(g.source, g.sink, live.toMap)
-    Result(out, g.interactionCount - out.interactionCount, g.edgeCount - out.edgeCount,
-      g.vertexCount - out.vertexCount)
+    val b = new FlowGraph.Builder(g.source, g.sink, g.edgeCount, g.interactionCount)
+    for (e <- 0 until g.edgeCount) if (alive(e)) b.add(g.ids(g.src(e)), g.ids(g.dst(e)), g.ts, g.qty, first(e), g.start(e + 1))
+    val kept = b.result()
+    Result(kept, g.interactionCount - kept.interactionCount, g.edgeCount - kept.edgeCount, g.vertexCount - kept.vertexCount)
   }
 
   /** Keep only edges on some source→…→sink path, or none if the sink is
     * unreachable (zero flow); returns true if anything was deleted.
     */
-  private def cleanupReachability(g: FlowGraph, live: mutable.Map[(Int, Int), Vector[(Long, Double)]]): Boolean = {
-    def closure(start: Int, step: Int => Iterator[Int]): mutable.Set[Int] = {
-      val seen  = mutable.Set(start)
-      val stack = mutable.Stack(start)
-      while (stack.nonEmpty) step(stack.pop()).foreach(u => if (seen.add(u)) stack.push(u))
+  private def cleanupReachability(g: FlowGraph, alive: Array[Boolean]): Boolean = {
+    /** Vertices reachable from `from` over surviving edges, along out-edges or in-edges. */
+    def closure(from: Int, forward: Boolean): Array[Boolean] = {
+      val seen  = new Array[Boolean](g.n)
+      val stack = new Array[Int](g.n)
+      var top   = 1
+      seen(from) = true
+      stack(0) = from
+      while (top > 0) {
+        top -= 1
+        val v = stack(top)
+        val edges = if (forward) g.outStart else g.inStart
+        for (i <- edges(v) until edges(v + 1)) {
+          val e = if (forward) i else g.inEdge(i)
+          val u = if (forward) g.dst(e) else g.src(e)
+          if (alive(e) && !seen(u)) { seen(u) = true; stack(top) = u; top += 1 }
+        }
+      }
       seen
     }
-    val fwd = closure(g.source, v => g.outNeighbors(v).iterator.filter(u => live.contains((v, u))))
-    val bwd = closure(g.sink, v => g.inNeighbors(v).iterator.filter(w => live.contains((w, v))))
-    val before = live.size
-    if (!fwd(g.sink)) live.clear()
-    else live.filterInPlace { case ((a, b), _) => fwd(a) && bwd(a) && fwd(b) && bwd(b) }
-    live.size != before
+    val fwd     = closure(g.s, forward = true)
+    val bwd     = closure(g.t, forward = false)
+    var changed = false
+    for (e <- 0 until g.edgeCount) {
+      val a = g.src(e)
+      val b = g.dst(e)
+      if (alive(e) && !(fwd(g.t) && fwd(a) && bwd(a) && fwd(b) && bwd(b))) { alive(e) = false; changed = true }
+    }
+    changed
   }
 }

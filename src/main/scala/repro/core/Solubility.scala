@@ -6,18 +6,20 @@ package repro.core
   * none — reserving quantity at such vertices can never increase what
   * eventually reaches the sink).
   *
-  * The degree scan is `O(V)`; the DAG check is a topological sort, `O(V+E)`.
+  * The degree scan reads the out-edge offsets, `O(V)`; the DAG check is the
+  * graph's Kahn order, `O(V+E)`.
   */
 object Solubility {
 
   /** True iff Lemma 2 guarantees greedy == max flow for `g`. */
   def solvableByGreedy(g: FlowGraph): Boolean = {
     if (g.isEmpty) return true // zero-flow graph: greedy trivially exact
-    val degreesOk = g.vertices.forall { v =>
-      if (v == g.source) true
-      else if (v == g.sink) g.outDegree(v) == 0
-      else g.outDegree(v) == 1
+    var v  = 0
+    var ok = true
+    while (ok && v < g.n) {
+      ok = v == g.s || g.outDeg(v) == (if (v == g.t) 0 else 1)
+      v += 1
     }
-    degreesOk && g.isDag
+    ok && g.isDag
   }
 }

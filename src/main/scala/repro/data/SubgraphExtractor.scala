@@ -35,9 +35,17 @@ object SubgraphExtractor {
   /** One interaction of one extracted subgraph, seed split already applied. */
   final case class TaggedInteraction(seed: Int, src: Int, dst: Int, ts: Long, qty: Double)
 
-  /** A collected subgraph, small by the cap: each seed-split arc's interactions, sorted by timestamp. */
-  final case class Subgraph(seed: Int, edges: Map[(Int, Int), Vector[(Long, Double)]]) {
-    def toFlowGraph: FlowGraph = new FlowGraph(SourceId, SinkId, edges)
+  /** A collected subgraph, small by the cap, in [[FlowGraph]]'s array form:
+    * the seed-split arcs `src(e) → dst(e)`, ascending by `(src, dst)`, and arc
+    * `e`'s interactions at `start(e) until start(e + 1)` of `ts`/`qty`, sorted
+    * by timestamp. Spark encodes it as arrays of primitives.
+    */
+  final case class Subgraph(seed: Int, src: Array[Int], dst: Array[Int], start: Array[Int], ts: Array[Long], qty: Array[Double]) {
+    /** The flow graph, wrapping these arrays. */
+    def toFlowGraph: FlowGraph = new FlowGraph(SourceId, SinkId, src, dst, start, ts, qty)
+
+    /** The edge map view `(src, dst) → e_S`. */
+    def edges: Map[(Int, Int), Vector[(Long, Double)]] = toFlowGraph.edges
   }
 
   /** `f(adj, seed, arcs)` for every seed on a ≤3-hop cycle of `net`, where
@@ -65,8 +73,8 @@ object SubgraphExtractor {
 
   /** [[extract]]'s subgraphs, one row per interaction. */
   def taggedInteractions(net: DataFrame, maxInteractions: Int): Dataset[TaggedInteraction] =
-    extract(net, maxInteractions).flatMap(sg => for (((s, d), es) <- sg.edges.iterator; (t, q) <- es.iterator)
-      yield TaggedInteraction(sg.seed, s, d, t, q))(Encoders.product[TaggedInteraction])
+    extract(net, maxInteractions).flatMap(sg => for (e <- sg.src.indices.iterator; p <- sg.start(e) until sg.start(e + 1))
+      yield TaggedInteraction(sg.seed, sg.src(e), sg.dst(e), sg.ts(p), sg.qty(p)))(Encoders.product[TaggedInteraction])
 
   /** Per-seed subgraphs, ready for the flow algorithms: each distinct cycle
     * arc keeps the adjacency index's time-sorted interaction sequence. A seed
@@ -77,9 +85,10 @@ object SubgraphExtractor {
     browse(net) { (adj, seed, arcs) =>
       val n = arcs.iterator.map { case (s, d) => adj.interactions(s, d).size.toLong }.sum
       Option.when(n <= maxInteractions) {
-        Subgraph(seed, arcs.iterator.map { case (s, d) =>
-          (if (s == seed) SourceId else s, if (d == seed) SinkId else d) -> adj.interactions(s, d)
-        }.toMap)
+        val split = arcs.toArray.map { case (s, d) => ((if (s == seed) SourceId else s, if (d == seed) SinkId else d), (s, d)) }
+          .sortBy(_._1)
+        val (start, ts, qty) = FlowGraph.concat(split.toSeq.map { case (_, (s, d)) => adj.interactions(s, d) })
+        Subgraph(seed, split.map(_._1._1), split.map(_._1._2), start, ts, qty)
       }
     }.toDS()
   }
@@ -93,8 +102,8 @@ object SubgraphExtractor {
     import spark.implicits._
     val perSeed = subgraphs.map { sg =>
       def unsplit(v: Int) = if (v == SourceId || v == SinkId) Int.MinValue else v
-      val verts = sg.edges.keysIterator.flatMap { case (s, d) => Iterator(unsplit(s), unsplit(d)) }.toSet.size
-      (verts, sg.edges.size, sg.edges.valuesIterator.map(_.size).sum)
+      val verts = (sg.src.iterator ++ sg.dst.iterator).map(unsplit).toSet.size
+      (verts, sg.src.length, sg.ts.length)
     }.toDF("v", "e", "i")
     val row = perSeed.agg(
       count(lit(1)), avg(col("v")), avg(col("e")), avg(col("i"))

@@ -1,7 +1,5 @@
 package repro.maxflow
 
-import scala.collection.mutable
-
 /** Dinic's blocking-flow maximum-flow algorithm on a static capacitated
   * directed graph with `Double` capacities.
   *
@@ -14,10 +12,15 @@ import scala.collection.mutable
 final class Dinic(n: Int) {
   private val Eps = 1e-9
 
-  // Edge arrays: to(e), cap(e); reverse edge of e is e ^ 1.
-  private val to   = mutable.ArrayBuffer.empty[Int]
-  private val cap  = mutable.ArrayBuffer.empty[Double]
-  private val head = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
+  // Arc arrays, grown by doubling: to(e), cap(e); the reverse arc of e is e ^ 1.
+  private var to   = new Array[Int](16)
+  private var cap  = new Array[Double](16)
+  private var arcs = 0
+
+  // Each node's arcs in insertion order, `adj` at `first(u) until first(u + 1)`:
+  // a CSR built by `maxFlow` over the arcs added so far.
+  private val first = new Array[Int](n + 1)
+  private var adj   = Array.emptyIntArray
 
   /** Add a directed edge `u -> v` with capacity `c` (plus a 0-capacity
     * residual reverse edge). Returns the edge id for flow inspection.
@@ -25,29 +28,50 @@ final class Dinic(n: Int) {
   def addEdge(u: Int, v: Int, c: Double): Int = {
     require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
     require(c >= 0, s"negative capacity $c")
-    val id = to.size
-    to += v; cap += c; head(u) += id
-    to += u; cap += 0.0; head(v) += id + 1
+    if (arcs + 2 > to.length) {
+      to = java.util.Arrays.copyOf(to, 2 * to.length)
+      cap = java.util.Arrays.copyOf(cap, 2 * cap.length)
+    }
+    val id = arcs
+    to(id) = v; cap(id) = c
+    to(id + 1) = u; cap(id + 1) = 0.0
+    arcs += 2
     id
   }
 
   /** Flow currently carried by edge `id` (cap of its reverse edge). */
   def flowOn(id: Int): Double = cap(id + 1)
 
+  private def buildAdjacency(): Unit = {
+    java.util.Arrays.fill(first, 0)
+    for (e <- 0 until arcs) first(to(e ^ 1) + 1) += 1 // the tail of e is the head of its reverse
+    for (u <- 0 until n) first(u + 1) += first(u)
+    val next = java.util.Arrays.copyOf(first, n)
+    adj = new Array[Int](arcs)
+    for (e <- 0 until arcs) { adj(next(to(e ^ 1))) = e; next(to(e ^ 1)) += 1 }
+  }
+
   private val level = Array.fill(n)(-1)
-  private val iter  = Array.fill(n)(0)
+  private val iter  = new Array[Int](n)
+  private val queue = new Array[Int](n)
 
   private def bfs(s: Int, t: Int): Boolean = {
     java.util.Arrays.fill(level, -1)
-    val q = mutable.Queue(s)
     level(s) = 0
-    while (q.nonEmpty) {
-      val u = q.dequeue()
-      head(u).foreach { e =>
+    queue(0) = s
+    var (head, tail) = (0, 1)
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
+      var i = first(u)
+      while (i < first(u + 1)) {
+        val e = adj(i)
         if (cap(e) > Eps && level(to(e)) < 0) {
           level(to(e)) = level(u) + 1
-          q.enqueue(to(e))
+          queue(tail) = to(e)
+          tail += 1
         }
+        i += 1
       }
     }
     level(t) >= 0
@@ -65,8 +89,8 @@ final class Dinic(n: Int) {
     var depth = 0
     var u     = s
     while (u != t) {
-      if (iter(u) < head(u).size) {
-        val e = head(u)(iter(u))
+      if (iter(u) < first(u + 1)) {
+        val e = adj(iter(u))
         if (cap(e) > Eps && level(to(e)) == level(u) + 1) {
           path(depth) = e; depth += 1; u = to(e)
         } else iter(u) += 1
@@ -93,9 +117,10 @@ final class Dinic(n: Int) {
     */
   def maxFlow(s: Int, t: Int): Double = {
     require(s != t, "source == sink")
+    if (adj.length != arcs) buildAdjacency()
     var flow = 0.0
     while (bfs(s, t)) {
-      java.util.Arrays.fill(iter, 0)
+      System.arraycopy(first, 0, iter, 0, n)
       var f = dfs(s, t)
       while (f > Eps) {
         flow += f

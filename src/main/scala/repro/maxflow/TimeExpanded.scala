@@ -1,7 +1,6 @@
 package repro.maxflow
 
 import repro.core.FlowGraph
-import scala.collection.mutable
 
 /** Maximum flow of a temporal interaction network via the time-expanded
   * static graph of Akrida et al. (the equivalence shown in Section 4.2.1).
@@ -31,32 +30,37 @@ import scala.collection.mutable
 object TimeExpanded {
 
   def maxFlow(g: FlowGraph): Double = {
-    val inters = g.interactions
+    val edgeOf = g.edgeOf
 
     // Nodes: S, T, then at most one version per interaction.
     val S       = 0
     val T       = 1
-    val dinic   = new Dinic(2 + inters.length)
+    val dinic   = new Dinic(2 + g.interactionCount)
     var nodes   = 2
-    val current = mutable.Map.empty[Int, Int] // vertex -> its latest version before this group
-    val next    = mutable.Map.empty[Int, Int] // vertex -> its version at this group's timestamp
+    val current = Array.fill(g.n)(-1) // vertex -> its latest version before this group
+    val next    = Array.fill(g.n)(-1) // vertex -> its version at this group's timestamp
 
-    FlowGraph.sweep(inters) { k =>
-      val i = inters(k)
+    g.sweep { p =>
+      val v = g.src(edgeOf(p))
+      val u = g.dst(edgeOf(p))
       val head =
-        if (i.dst == g.sink) T
-        else if (i.dst == g.source) -1 // flow back into the infinite source is useless; drop
-        else next.getOrElseUpdate(i.dst, { nodes += 1; nodes - 1 })
+        if (u == g.t) T
+        else if (u == g.s) -1 // flow back into the infinite source is useless; drop
+        else {
+          if (next(u) < 0) { next(u) = nodes; nodes += 1 }
+          next(u)
+        }
       val tail =
-        if (i.src == g.source) S
-        else if (i.src == g.sink) -1 // the sink does not forward; drop
-        else current.getOrElse(i.src, -1)
-      if (tail >= 0 && head >= 0) dinic.addEdge(tail, head, i.qty)
-    } { k =>
-      val v = inters(k).dst
-      next.remove(v).foreach { version =>
-        current.get(v).foreach(dinic.addEdge(_, version, Double.PositiveInfinity)) // holdover
-        current(v) = version
+        if (v == g.s) S
+        else if (v == g.t) -1 // the sink does not forward; drop
+        else current(v)
+      if (tail >= 0 && head >= 0) dinic.addEdge(tail, head, g.qty(p))
+    } { p =>
+      val v = g.dst(edgeOf(p))
+      if (next(v) >= 0) {
+        if (current(v) >= 0) dinic.addEdge(current(v), next(v), Double.PositiveInfinity) // holdover
+        current(v) = next(v)
+        next(v) = -1
       }
     }
 

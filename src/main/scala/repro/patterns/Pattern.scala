@@ -32,12 +32,17 @@ final case class Pattern(
   /** Pattern edges entering `p` from earlier vertices (the browsing frontier). */
   def predecessors(p: Int): Vector[Int] = edges.collect { case (u, v) if v == p => u }
 
+  /** `edges`' indices by ascending `(u, v)`, the edge order of a flow graph, and their ends. */
+  private val byPair: Array[Int]  = edges.indices.sortBy(edges).toArray
+  private val pairSrc: Array[Int] = byPair.map(edges(_)._1)
+  private val pairDst: Array[Int] = byPair.map(edges(_)._2)
+
   /** An instance's flow graph over pattern-vertex ids, given each edge's
     * interactions, sorted by timestamp, in `edges` order (source and sink
     * stay separate nodes even when their labels coincide — the cycle split).
     */
   def flowGraph(interactions: Seq[Vector[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, edges.zip(interactions).toMap)
+    FlowGraph.fromRuns(source, sink, pairSrc, pairDst, byPair.toSeq.map(interactions))
 }
 
 /** The reconstructed pattern set of Figure 12 (the figure itself is absent

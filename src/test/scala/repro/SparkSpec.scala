@@ -23,16 +23,18 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    // Two shuffle partitions per core, like `GraphBrowsing.browse`'s slices.
+    s.conf.set("spark.sql.shuffle.partitions",
+               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", (2 * s.sparkContext.defaultParallelism).toString))
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
     )
     s
   }

@@ -1,9 +1,12 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 
-/** Tests for the FlowGraph model: construction, degrees, topological order
-  * and synthetic endpoints (Figure 4).
+/** Tests for the FlowGraph model: construction, degrees, topological order,
+  * synthetic endpoints (Figure 4), and the array form against a brute-force
+  * reference.
   */
 class FlowGraphSpec extends SparkSpec {
 
@@ -99,5 +102,49 @@ class FlowGraphSpec extends SparkSpec {
     val a = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
     val b = TestGraphs.fromEdges(0, 1, Map((0, 1) -> Seq((1L, 2.0))))
     assert(a === b)
+  }
+
+  test("ties within a timestamp come by ascending (src, dst), then in edge order") {
+    val g = TestGraphs.fromEdges(0, 3, Map(
+      (1, 3) -> Seq((5L, 1.0), (5L, 2.0)),
+      (0, 2) -> Seq((5L, 3.0)),
+      (0, 1) -> Seq((1L, 4.0), (5L, 5.0)),
+      (2, 3) -> Seq((4L, 6.0)),
+    ))
+    assert(g.interactions.map(i => (i.src, i.dst, i.qty)) ===
+      Vector((0, 1, 4.0), (2, 3, 6.0), (0, 1, 5.0), (0, 2, 3.0), (1, 3, 1.0), (1, 3, 2.0)))
+  }
+
+  test("property: the array form matches a brute-force reference on its edge map") {
+    val gens = Seq(TestGraphs.genDag(), TestGraphs.genMaybeCyclic(maxV = 12))
+    var seed = Seed(0xA77A1L)
+    for (gen <- gens ++ gens.map(TestGraphs.tied) ++ gens.map(TestGraphs.wide); _ <- 0 until 300) {
+      val sample = gen(Gen.Parameters.default, seed).get
+      seed = seed.next
+      val em = sample.edges
+      val g  = new FlowGraph(sample.source, sample.sink, em)
+      assert(g.edges === em)
+      val vs = em.keySet.flatMap { case (a, b) => Set(a, b) } + g.source + g.sink
+      assert(g.vertices === vs)
+      for (v <- vs) {
+        val out = em.keys.collect { case (`v`, b) => b }.toVector.sorted
+        val in  = em.keys.collect { case (a, `v`) => a }.toVector.sorted
+        assert(g.outNeighbors(v).toVector === out && g.outDegree(v) === out.size, s"out-list of $v in $em")
+        assert(g.inNeighbors(v).toVector === in && g.inDegree(v) === in.size, s"in-list of $v in $em")
+      }
+      // A DAG iff no edge closes a path back to its tail.
+      def reach(from: Int): Set[Int] = Iterator.iterate(Set(from))(r => r ++ em.keys.collect { case (a, b) if r(a) => b })
+        .sliding(2).collectFirst { case Seq(a, b) if a == b => a }.get
+      val dag = em.keys.forall { case (a, b) => !reach(b)(a) }
+      g.topologicalOrder match {
+        case Some(order) =>
+          val pos = order.zipWithIndex.toMap
+          assert(dag && order.sorted === vs.toVector.sorted && em.keys.forall { case (a, b) => pos(a) < pos(b) }, s"order $order of $em")
+        case None => assert(!dag, s"no order for the DAG $em")
+      }
+      val timeSorted = em.toVector.sortBy(_._1).flatMap { case ((a, b), es) => es.map { case (t, q) => Interaction(a, b, t, q) } }
+        .sortBy(_.ts)
+      assert(g.interactions === timeSorted)
+    }
   }
 }

@@ -1,10 +1,14 @@
 package repro.data
 
+import org.apache.spark.serializer.JavaSerializer
+import org.apache.spark.sql.Encoders
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType}
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import repro.core.{FlowGraph, FlowPipeline, Interaction}
+import repro.data.SubgraphExtractor.Subgraph
 
 /** Tests for the seed-cycle subgraph extraction (Section 6.2 protocol),
   * with the cycle arcs and the extracted interactions verified against
@@ -163,6 +167,26 @@ class SubgraphExtractorSpec extends SparkSpec {
         FROM tagged t JOIN kept ON t.seed = kept.seed
         """,
         "net" -> n)
+    }
+  }
+
+  test("a subgraph encodes as int columns and arrays of int, long and double: no map, no struct") {
+    val schema = Encoders.product[Subgraph].schema
+    assert(schema.fields.forall(_.dataType match {
+      case IntegerType                                            => true
+      case ArrayType(IntegerType | LongType | DoubleType, false) => true
+      case _                                                      => false
+    }), schema.treeString)
+  }
+
+  test("extracted subgraphs round-trip through Spark's JavaSerializer") {
+    val ser  = new JavaSerializer(spark.sparkContext.getConf).newInstance()
+    val subs = Seq(net, NetworkGen.generate(spark, NetworkGen.bitcoinLike, 0.0002))
+      .flatMap(SubgraphExtractor.extract(_, 1000).collect())
+    assert(subs.size > 5)
+    subs.foreach { sg =>
+      val back = ser.deserialize[Subgraph](ser.serialize(sg))
+      assert(back.seed === sg.seed && back.toFlowGraph == sg.toFlowGraph, s"seed ${sg.seed}")
     }
   }
 

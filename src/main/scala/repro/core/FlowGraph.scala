@@ -43,16 +43,6 @@ final class FlowGraph(
     val qty: Array[Double],
 ) {
 
-  private def this(source: Int, sink: Int, keys: Array[(Int, Int)], runs: (Array[Int], Array[Long], Array[Double])) =
-    this(source, sink, keys.map(_._1), keys.map(_._2), runs._1, runs._2, runs._3)
-
-  private def this(source: Int, sink: Int, keys: Array[(Int, Int)], edges: Map[(Int, Int), Vector[(Long, Double)]]) =
-    this(source, sink, keys, FlowGraph.concat(keys.toSeq.map(edges)))
-
-  /** Input adapter: an edge map `(src, dst) → e_S`, each sequence sorted by timestamp. */
-  def this(source: Int, sink: Int, edges: Map[(Int, Int), Vector[(Long, Double)]]) =
-    this(source, sink, edges.keys.toArray.sorted, edges)
-
   val edgeCount: Int = srcIds.length
   require(dstIds.length == edgeCount && start.length == edgeCount + 1 && start(0) == 0 &&
     start(edgeCount) == ts.length && qty.length == ts.length, "malformed edge arrays")
@@ -236,49 +226,26 @@ final class FlowGraph(
 
 object FlowGraph {
 
-  /** Group interactions into per-edge sequences `(src, dst) → e_S`, sorted by
-    * timestamp (stable on ties): once per network for its `AdjacencyIndex`,
-    * whose sequences the subgraphs and pattern instances cut from it keep.
+  /** The edge layout of `inters`, from one stable sort by `(src, dst, ts)`:
+    * `make(srcIds, dstIds, start, ts, qty)` gets edges `srcIds(e) → dstIds(e)`,
+    * distinct and ascending by `(src, dst)`, and edge `e`'s run at
+    * `start(e) until start(e + 1)` of `ts`/`qty`, sorted by timestamp with
+    * ties in input order. A graph and the network's `AdjacencyIndex` both
+    * build from it.
     */
-  def groupEdges(inters: Seq[Interaction]): Map[(Int, Int), Vector[(Long, Double)]] =
-    inters.groupBy(i => (i.src, i.dst)).view
-      .mapValues(is => is.map(i => (i.ts, i.qty)).sortBy(_._1).toVector)
-      .toMap
-
-  /** Neighbour lists, ascending, of distinct `(from, to)` pairs: pass the edge
-    * keys for out-lists, the swapped keys for in-lists.
-    */
-  def neighbours(pairs: Iterable[(Int, Int)]): Map[Int, Array[Int]] =
-    pairs.groupMap(_._1)(_._2).view.mapValues(_.toArray.sorted).toMap
-
-  /** The `start`, `ts` and `qty` arrays of `runs` laid end to end. */
-  def concat(runs: Seq[Seq[(Long, Double)]]): (Array[Int], Array[Long], Array[Double]) = {
-    val start = new Array[Int](runs.size + 1)
-    var e     = 0
-    runs.foreach { r => start(e + 1) = start(e) + r.size; e += 1 }
-    val ts  = new Array[Long](start(e))
-    val qty = new Array[Double](start(e))
-    var p   = 0
-    runs.foreach(_.foreach { case (t, q) => ts(p) = t; qty(p) = q; p += 1 })
-    (start, ts, qty)
-  }
-
-  /** The graph of edges `srcIds(e) → dstIds(e)`, ascending by `(src, dst)`,
-    * with interaction sequences `runs(e)`, each sorted by timestamp.
-    */
-  def fromRuns(source: Int, sink: Int, srcIds: Array[Int], dstIds: Array[Int], runs: Seq[Seq[(Long, Double)]]): FlowGraph = {
-    val (start, ts, qty) = concat(runs)
-    new FlowGraph(source, sink, srcIds, dstIds, start, ts, qty)
-  }
-
-  /** Build from a flat interaction list; per-edge sequences are sorted by
-    * timestamp (stable on ties).
-    */
-  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph = {
-    val is    = inters.sortBy(i => (i.src, i.dst, i.ts)).toArray
+  def grouped[A](inters: Seq[Interaction])(make: (Array[Int], Array[Int], Array[Int], Array[Long], Array[Double]) => A): A = {
+    val is = inters.toArray
+    java.util.Arrays.sort(is, (a: Interaction, b: Interaction) => // TimSort: stable
+      if (a.src != b.src) Integer.compare(a.src, b.src)
+      else if (a.dst != b.dst) Integer.compare(a.dst, b.dst)
+      else java.lang.Long.compare(a.ts, b.ts))
     val first = is.indices.filter(k => k == 0 || is(k).src != is(k - 1).src || is(k).dst != is(k - 1).dst).toArray
-    new FlowGraph(source, sink, first.map(is(_).src), first.map(is(_).dst), first :+ is.length, is.map(_.ts), is.map(_.qty))
+    make(first.map(is(_).src), first.map(is(_).dst), first :+ is.length, is.map(_.ts), is.map(_.qty))
   }
+
+  /** Build from a flat interaction list (see [[grouped]]). */
+  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph =
+    grouped(inters)(new FlowGraph(source, sink, _, _, _, _, _))
 
   /** Collects edges, added in ascending `(src, dst)` order, each with a slice
     * of some run, into one graph: the output of Algorithms 1 and 2.
@@ -308,7 +275,7 @@ object FlowGraph {
   }
 
   /** CSR offsets of `n` lists from each element's list id. */
-  private def offsets(of: Array[Int], n: Int): Array[Int] = {
+  private[repro] def offsets(of: Array[Int], n: Int): Array[Int] = {
     val off = new Array[Int](n + 1)
     var i   = 0
     while (i < of.length) { off(of(i) + 1) += 1; i += 1 }

@@ -59,16 +59,4 @@ object Greedy {
 
   /** Just the flow value `f(G)`. */
   def flow(g: FlowGraph): Double = run(g).flow
-
-  /** Greedy scan of a chain given as consecutive edge interaction sequences
-    * `edgeSeqs(0) = (s, v1)_S, edgeSeqs(1) = (v1, v2)_S, …`, each sorted by
-    * timestamp. Returns the arrivals into the chain's last vertex and their
-    * total — the Lemma 3 reduction used by the precomputed path tables.
-    */
-  def chain(edgeSeqs: Seq[Seq[(Long, Double)]]): Result = {
-    val k = edgeSeqs.size
-    require(k >= 1, "chain needs at least one edge")
-    // Vertices are numbered 0 (source) .. k (chain end / scan sink).
-    run(FlowGraph.fromRuns(0, k, Array.range(0, k), Array.range(1, k + 1), edgeSeqs))
-  }
 }

@@ -83,12 +83,11 @@ object SubgraphExtractor {
   def extract(net: DataFrame, maxInteractions: Int): Dataset[Subgraph] = {
     import net.sparkSession.implicits._
     browse(net) { (adj, seed, arcs) =>
-      val n = arcs.iterator.map { case (s, d) => adj.interactions(s, d).size.toLong }.sum
-      Option.when(n <= maxInteractions) {
-        val split = arcs.toArray.map { case (s, d) => ((if (s == seed) SourceId else s, if (d == seed) SinkId else d), (s, d)) }
-          .sortBy(_._1)
-        val (start, ts, qty) = FlowGraph.concat(split.toSeq.map { case (_, (s, d)) => adj.interactions(s, d) })
-        Subgraph(seed, split.map(_._1._1), split.map(_._1._2), start, ts, qty)
+      val split = arcs.toArray.map { case (s, d) => ((if (s == seed) SourceId else s, if (d == seed) SinkId else d), adj.edge(s, d)) }
+        .sortBy(_._1)
+      val edges = split.map(_._2)
+      Option.when(edges.iterator.map(adj.runLength(_).toLong).sum <= maxInteractions) {
+        adj.copyRuns(edges)(Subgraph(seed, split.map(_._1._1), split.map(_._1._2), _, _, _))
       }
     }.toDS()
   }

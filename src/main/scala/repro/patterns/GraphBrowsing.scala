@@ -8,14 +8,63 @@ import scala.reflect.ClassTag
 
 /** In-memory adjacency view of an interaction network, the structure the
   * paper's graph-browsing baseline navigates ("main-memory representations
-  * … adjacency lists", Section 6.3).
+  * … adjacency lists", Section 6.3), in [[FlowGraph]]'s edge layout without a
+  * source and sink:
+  *
+  *  - `vertices` are the edge ends' original ids, ascending;
+  *  - the out-edges of `vertices(i)` are `outStart(i) until outStart(i + 1)`,
+  *    and edge `e` runs to the original id `dst(e)`: edges are ascending by
+  *    `(src, dst)`;
+  *  - edge `e`'s interactions are positions `start(e) until start(e + 1)` of
+  *    `ts`/`qty`, sorted by timestamp, ties in input order.
+  *
+  * A pattern instance or subgraph is a list of edge numbers whose runs
+  * [[copyRuns]] lays end to end.
   */
-final class AdjacencyIndex(edges: Map[(Int, Int), Vector[(Long, Double)]]) extends Serializable {
-  private val out = FlowGraph.neighbours(edges.keys)
-  val vertices: Array[Int] = edges.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
+final class AdjacencyIndex private (
+    val vertices: Array[Int],
+    outStart: Array[Int],
+    val dst: Array[Int],
+    start: Array[Int],
+    ts: Array[Long],
+    qty: Array[Double],
+) extends Serializable {
 
-  def outOf(v: Int): Array[Int]              = out.getOrElse(v, Array.empty)
-  def interactions(a: Int, b: Int): Vector[(Long, Double)] = edges.getOrElse((a, b), Vector.empty)
+  /** The edges out of the original id `v`, by ascending `dst`; empty if `v` is no vertex. */
+  def out(v: Int): Range = {
+    val i = java.util.Arrays.binarySearch(vertices, v)
+    if (i < 0) 0 until 0 else outStart(i) until outStart(i + 1)
+  }
+
+  /** The edge `a → b`, negative if there is none. */
+  def edge(a: Int, b: Int): Int = { val r = out(a); java.util.Arrays.binarySearch(dst, r.start, r.end, b) }
+
+  /** The number of interactions on edge `e`. */
+  def runLength(e: Int): Int = start(e + 1) - start(e)
+
+  /** The runs of `edges` laid end to end: `make(start, ts, qty)` with run `i`
+    * at `start(i) until start(i + 1)`, a [[FlowGraph]]'s last three arrays.
+    */
+  def copyRuns[A](edges: Array[Int])(make: (Array[Int], Array[Long], Array[Double]) => A): A = {
+    val at = new Array[Int](edges.length + 1)
+    var i  = 0
+    while (i < edges.length) { at(i + 1) = at(i) + runLength(edges(i)); i += 1 }
+    val t = new Array[Long](at(i))
+    val q = new Array[Double](at(i))
+    i = 0
+    while (i < edges.length) {
+      System.arraycopy(ts, start(edges(i)), t, at(i), at(i + 1) - at(i))
+      System.arraycopy(qty, start(edges(i)), q, at(i), at(i + 1) - at(i))
+      i += 1
+    }
+    make(at, t, q)
+  }
+
+  /** The interactions `a → b`, in run order: a view for tests. */
+  def interactions(a: Int, b: Int): Vector[(Long, Double)] = {
+    val e = edge(a, b)
+    if (e < 0) Vector.empty else Vector.range(start(e), start(e + 1)).map(p => (ts(p), qty(p)))
+  }
 
   /** `n` round-robin slices of [[vertices]], spreading hubs across the tasks that browse them. */
   def slices(n: Int): Seq[Array[Int]] = (0 until n).map(i => (i until vertices.length by n).map(vertices(_)).toArray)
@@ -23,7 +72,11 @@ final class AdjacencyIndex(edges: Map[(Int, Int), Vector[(Long, Double)]]) exten
 
 object AdjacencyIndex {
   def fromInteractions(inters: Seq[Interaction]): AdjacencyIndex =
-    new AdjacencyIndex(FlowGraph.groupEdges(inters))
+    FlowGraph.grouped(inters) { (srcIds, dstIds, start, ts, qty) =>
+      val ends = (srcIds ++ dstIds).distinct.sorted
+      new AdjacencyIndex(ends, FlowGraph.offsets(srcIds.map(java.util.Arrays.binarySearch(ends, _)), ends.length),
+        dstIds, start, ts, qty)
+    }
 
   /** The interactions of the network `net` (`src, dst, ts, qty`), collected to the driver. */
   def fromNetwork(net: DataFrame): AdjacencyIndex = {
@@ -68,15 +121,17 @@ object GraphBrowsing {
       maxInstances: Long = -1L,
       startVertices: Option[Array[Int]] = None,
   )(onInstance: Array[Int] => Unit): Long = {
-    val k       = pattern.numVertices
-    val mu      = Array.fill(k)(-1)
-    var found   = 0L
-    val preds   = Array.tabulate(k)(pattern.predecessors)
+    val k      = pattern.numVertices
+    val mu     = Array.fill(k)(-1)
+    var found  = 0L
+    val preds  = Array.tabulate(k)(pattern.predecessors(_).toArray)
+    val starts = startVertices.getOrElse(adj.vertices)
     // A vertex whose label an earlier one carries is forced to that vertex's
     // image (`forcedBy`), which already differs from every other label's and
-    // needs only its edges checked. Any other vertex takes the start vertices
-    // or the intersection of its predecessors' out-lists, which satisfy its
-    // edges, so `ok` only checks that the candidate is new.
+    // needs only its edges checked. Any other vertex takes the start vertices,
+    // its one predecessor's out-range of `adj.dst`, or the intersection of its
+    // predecessors' out-ranges, which satisfy its edges, so `visit` only
+    // checks that the candidate is new.
     val forcedBy = Array.tabulate(k) { p =>
       (0 until p).find(q => pattern.labels(q) == pattern.labels(p)).getOrElse(-1)
     }
@@ -84,53 +139,49 @@ object GraphBrowsing {
       pattern.symmetry.collect { case (q, `p`) if q < p => q }
     }
 
-    def candidates(p: Int): Array[Int] =
-      if (forcedBy(p) >= 0) {
-        val v = mu(forcedBy(p))
-        if (preds(p).forall(u => java.util.Arrays.binarySearch(adj.outOf(mu(u)), v) >= 0)) Array(v)
-        else Array.emptyIntArray
-      } else if (preds(p).isEmpty) startVertices.getOrElse(adj.vertices)
-      else preds(p).map(u => adj.outOf(mu(u))).sortBy(_.length) // the shortest list, filtered by the rest
-        .reduceLeft((base, l) => base.filter(v => java.util.Arrays.binarySearch(l, v) >= 0))
-
     def isNew(p: Int, v: Int): Boolean = { var q = 0; while (q < p && mu(q) != v) q += 1; q == p }
 
-    def ok(p: Int, v: Int): Boolean =
-      (forcedBy(p) >= 0 || isNew(p, v)) && symPred(p).forall(q => mu(q) < v)
+    // Each of these returns false to stop (cap reached). Level `p` reads only `mu(0 until p)`.
+    def visit(p: Int, v: Int): Boolean =
+      if ((forcedBy(p) >= 0 || isNew(p, v)) && symPred(p).forall(q => mu(q) < v)) { mu(p) = v; rec(p + 1) }
+      else true
 
-    def rec(p: Int): Boolean = { // returns false to stop (cap reached)
+    def visitAll(p: Int, cs: Array[Int], from: Int, until: Int): Boolean = {
+      var i  = from
+      var go = true
+      while (go && i < until) { go = visit(p, cs(i)); i += 1 }
+      go
+    }
+
+    def rec(p: Int): Boolean =
       if (p == k) {
         found += 1
         onInstance(mu.clone())
         maxInstances <= 0 || found < maxInstances
+      } else if (forcedBy(p) >= 0) {
+        val v = mu(forcedBy(p))
+        if (preds(p).forall(u => adj.edge(mu(u), v) >= 0)) visit(p, v) else true
+      } else if (preds(p).isEmpty) visitAll(p, starts, 0, starts.length)
+      else if (preds(p).length == 1) {
+        val r = adj.out(mu(preds(p)(0)))
+        visitAll(p, adj.dst, r.start, r.end)
       } else {
-        val cs = candidates(p)
-        var i  = 0
-        var go  = true
-        while (go && i < cs.length) {
-          val v = cs(i)
-          if (ok(p, v)) {
-            mu(p) = v
-            go = rec(p + 1)
-            mu(p) = -1
-          }
-          i += 1
-        }
-        go
+        val us   = preds(p).map(mu(_)).sortBy(adj.out(_).length) // the shortest out-range, filtered by the rest
+        val kept = adj.out(us(0)).map(adj.dst).filter(v => us.tail.forall(adj.edge(_, v) >= 0)).toArray
+        visitAll(p, kept, 0, kept.length)
       }
-    }
 
     rec(0)
     found
   }
 
-  /** Each pattern edge's interactions under the assignment `mu`, in `pattern.edges` order. */
-  private def edgeInteractions(adj: AdjacencyIndex, pattern: Pattern, mu: Array[Int]): Vector[Vector[(Long, Double)]] =
-    pattern.edges.map { case (u, w) => adj.interactions(mu(u), mu(w)) }
-
-  /** The flow graph of the instance `mu` (see [[Pattern.flowGraph]]). */
+  /** The flow graph of the instance `mu` over pattern-vertex ids: pattern edge
+    * `(u, w)` carries the run of the network edge `mu(u) → mu(w)`. Source and
+    * sink stay separate nodes even when their labels coincide (the cycle split).
+    */
   def instanceGraph(adj: AdjacencyIndex, pattern: Pattern, mu: Array[Int]): FlowGraph =
-    pattern.flowGraph(edgeInteractions(adj, pattern, mu))
+    adj.copyRuns(pattern.edges.map { case (u, w) => adj.edge(mu(u), mu(w)) }.toArray)(
+      new FlowGraph(pattern.source, pattern.sink, pattern.edgeSrc, pattern.edgeDst, _, _, _))
 
   /** Enumerate instances and their maximum flows; returns (count, total flow). */
   def enumerateWithFlow(
@@ -146,14 +197,14 @@ object GraphBrowsing {
     (n, total)
   }
 
-  /** Every instance `mu` of the chain pattern `chain` (a path, its edges in
-    * order) with its Lemma 3 reduction: the greedy scan of the instance's
-    * edges, whose `sinkArrivals` are the reduced edge's interactions.
+  /** Every instance `mu` of the chain pattern `chain` (a path `0 → 1 → … → k`)
+    * with its Lemma 3 reduction: the greedy scan of the instance graph, whose
+    * `sinkArrivals` are the reduced edge's interactions.
     */
   def reducedChains(adj: AdjacencyIndex, chain: Pattern, startVertices: Option[Array[Int]])(
       onInstance: (Array[Int], Greedy.Result) => Unit): Unit =
     enumerate(adj, chain, startVertices = startVertices) { mu =>
-      onInstance(mu, Greedy.chain(edgeInteractions(adj, chain, mu)))
+      onInstance(mu, Greedy.run(instanceGraph(adj, chain, mu)))
     }
 
   /** Non-rigid patterns (Section 5.3): the instances of the chain pattern

@@ -1,7 +1,5 @@
 package repro.patterns
 
-import repro.core.FlowGraph
-
 /** A network pattern (Definition 2): a DAG whose vertex labels encode only
   * equality constraints — equal labels must map to the same graph vertex,
   * distinct labels to distinct vertices (Definition 3). The graph itself is
@@ -9,9 +7,10 @@ import repro.core.FlowGraph
   *
   * Pattern vertices are `0 .. numVertices-1` **in topological order** (all
   * edges go from a smaller to a larger id), which is the browsing order of
-  * Section 5.1. `source`/`sink` designate the flow endpoints of an instance;
-  * when they carry the same label the instance's flow is a cycle flow
-  * (source split from sink, Section 4's reduction).
+  * Section 5.1, and `edges` are distinct and ascending by `(u, v)`, the edge
+  * order of an instance's flow graph. `source`/`sink` designate the flow
+  * endpoints of an instance; when they carry the same label the instance's
+  * flow is a cycle flow (source split from sink, Section 4's reduction).
   *
   * `symmetry` lists pairs `(p, q)` with `μ(p) < μ(q)` enforced, breaking the
   * branch-swap symmetry of patterns with interchangeable parallel branches so
@@ -28,21 +27,14 @@ final case class Pattern(
 ) {
   val numVertices: Int = labels.size
   require(edges.forall { case (u, v) => u < v }, s"$name: vertices must be topologically ordered")
+  require(edges.distinct.sorted == edges, s"$name: edges must be distinct and ascending")
 
   /** Pattern edges entering `p` from earlier vertices (the browsing frontier). */
   def predecessors(p: Int): Vector[Int] = edges.collect { case (u, v) if v == p => u }
 
-  /** `edges`' indices by ascending `(u, v)`, the edge order of a flow graph, and their ends. */
-  private val byPair: Array[Int]  = edges.indices.sortBy(edges).toArray
-  private val pairSrc: Array[Int] = byPair.map(edges(_)._1)
-  private val pairDst: Array[Int] = byPair.map(edges(_)._2)
-
-  /** An instance's flow graph over pattern-vertex ids, given each edge's
-    * interactions, sorted by timestamp, in `edges` order (source and sink
-    * stay separate nodes even when their labels coincide — the cycle split).
-    */
-  def flowGraph(interactions: Seq[Vector[(Long, Double)]]): FlowGraph =
-    FlowGraph.fromRuns(source, sink, pairSrc, pairDst, byPair.toSeq.map(interactions))
+  /** The ends of `edges`, which are in a flow graph's edge order. */
+  private[patterns] val edgeSrc: Array[Int] = edges.map(_._1).toArray
+  private[patterns] val edgeDst: Array[Int] = edges.map(_._2).toArray
 }
 
 /** The reconstructed pattern set of Figure 12 (the figure itself is absent

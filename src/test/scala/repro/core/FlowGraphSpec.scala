@@ -19,7 +19,7 @@ class FlowGraphSpec extends SparkSpec {
   }
 
   test("vertices include isolated source and sink") {
-    val g = new FlowGraph(7, 9, Map((1, 2) -> Vector((1L, 1.0))))
+    val g = TestGraphs.fromEdges(7, 9, Map((1, 2) -> Vector((1L, 1.0))))
     assert(g.vertices === Set(1, 2, 7, 9))
   }
 
@@ -122,7 +122,7 @@ class FlowGraphSpec extends SparkSpec {
       val sample = gen(Gen.Parameters.default, seed).get
       seed = seed.next
       val em = sample.edges
-      val g  = new FlowGraph(sample.source, sample.sink, em)
+      val g  = TestGraphs.fromEdges(sample.source, sample.sink, em)
       assert(g.edges === em)
       val vs = em.keySet.flatMap { case (a, b) => Set(a, b) } + g.source + g.sink
       assert(g.vertices === vs)

@@ -87,7 +87,7 @@ class GreedySpec extends SparkSpec {
   }
 
   test("empty graph has zero flow") {
-    assert(Greedy.flow(new FlowGraph(0, 1, Map.empty)) === 0.0)
+    assert(Greedy.flow(FlowGraph(0, 1, Nil)) === 0.0)
   }
 
   test("sink arrivals report only positive transfers") {
@@ -100,22 +100,14 @@ class GreedySpec extends SparkSpec {
     assert(r.flow === 2.0)
   }
 
-  test("Greedy.chain equals Greedy.run on the equivalent chain graph") {
-    val seqs = Seq(Seq((1L, 5.0), (7L, 4.0)), Seq((2L, 9.0), (5L, 3.0), (9L, 6.0)), Seq((6L, 3.0), (8L, 4.0)))
-    val byChain = Greedy.chain(seqs)
-    val byGraph = Greedy.run(TestGraphs.chain4)
-    assert(byChain.flow === byGraph.flow)
-    assert(byChain.sinkArrivals === byGraph.sinkArrivals)
-  }
-
   test("chain arrivals replayed as a single edge preserve the flow at any later stage") {
     // Lemma 3 mechanics: arrivals of chain prefix + last edge == whole chain.
     val e1 = Seq((1L, 5.0), (7L, 4.0))
     val e2 = Seq((2L, 9.0), (5L, 3.0), (9L, 6.0))
     val e3 = Seq((6L, 3.0), (8L, 4.0))
-    val prefix = Greedy.chain(Seq(e1, e2)).sinkArrivals
-    val whole  = Greedy.chain(Seq(e1, e2, e3))
-    val reduced = Greedy.chain(Seq(prefix.toSeq, e3))
+    val prefix = Greedy.run(TestGraphs.chain(Seq(e1, e2))).sinkArrivals
+    val whole  = Greedy.run(TestGraphs.chain(Seq(e1, e2, e3)))
+    val reduced = Greedy.run(TestGraphs.chain(Seq(prefix.toSeq, e3)))
     assert(reduced.flow === whole.flow)
     assert(reduced.sinkArrivals === whole.sinkArrivals)
   }

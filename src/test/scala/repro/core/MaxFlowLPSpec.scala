@@ -78,7 +78,7 @@ class MaxFlowLPSpec extends SparkSpec {
   }
 
   test("empty graph: zero flow") {
-    assert(MaxFlowLP.maxFlow(new FlowGraph(0, 1, Map.empty)) === 0.0)
+    assert(MaxFlowLP.maxFlow(FlowGraph(0, 1, Nil)) === 0.0)
   }
 
   test("direct source-sink interactions contribute as constants") {

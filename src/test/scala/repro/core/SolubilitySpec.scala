@@ -53,7 +53,7 @@ class SolubilitySpec extends SparkSpec {
   }
 
   test("empty graph is trivially soluble") {
-    assert(Solubility.solvableByGreedy(new FlowGraph(0, 1, Map.empty)))
+    assert(Solubility.solvableByGreedy(FlowGraph(0, 1, Nil)))
   }
 
   test("greedy equals max flow on every soluble fixture") {

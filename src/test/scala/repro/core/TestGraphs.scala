@@ -9,7 +9,13 @@ object TestGraphs {
 
   /** Build from an explicit edge map (sequences are re-sorted defensively). */
   def fromEdges(source: Int, sink: Int, edges: Map[(Int, Int), Seq[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, edges.view.mapValues(_.sortBy(_._1).toVector).toMap)
+    FlowGraph(source, sink, edges.toSeq.flatMap { case ((a, b), es) => es.map { case (t, q) => Interaction(a, b, t, q) } })
+
+  /** The chain `0 → 1 → … → k` whose edge `(i, i + 1)` carries `runs(i)`: the
+    * graph whose greedy scan is a path's Lemma 3 reduction.
+    */
+  def chain(runs: Seq[Seq[(Long, Double)]]): FlowGraph =
+    fromEdges(0, runs.size, runs.zipWithIndex.map { case (r, i) => (i, i + 1) -> r }.toMap)
 
   /** Figure 3 / Tables 2–3: s=0, y=1, z=2, t=3. Greedy flow 1, max flow 5. */
   val fig3: FlowGraph = fromEdges(0, 3, Map(

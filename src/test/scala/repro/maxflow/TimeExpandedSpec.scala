@@ -67,7 +67,7 @@ class TimeExpandedSpec extends SparkSpec {
   }
 
   test("empty graph") {
-    assert(TimeExpanded.maxFlow(new FlowGraph(0, 1, Map.empty)) === 0.0)
+    assert(TimeExpanded.maxFlow(FlowGraph(0, 1, Nil)) === 0.0)
   }
 
   test("multiple interactions per edge use buffered remainder") {

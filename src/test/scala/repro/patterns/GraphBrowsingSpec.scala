@@ -1,7 +1,8 @@
 package repro.patterns
 
+import org.apache.spark.serializer.JavaSerializer
 import repro.SparkSpec
-import repro.core.{FlowPipeline, Greedy, Interaction}
+import repro.core.{FlowGraph, FlowPipeline, Greedy, Interaction, TestGraphs}
 
 /** Tests for the graph-browsing (GB) pattern enumeration baseline
   * (Section 5.1): structure, label/μ constraints, symmetry breaking, and
@@ -195,5 +196,69 @@ class GraphBrowsingSpec extends SparkSpec {
       }
     }
     assert(loops > 0 && twoCycles > 0, "the samples must contain self-loops and 2-cycles")
+  }
+
+  /** Random networks on `0 until n`: multi-interaction edges and self-loops,
+    * distinct quantities (so a run's order shows), and in every other network
+    * timestamps divided by 3, so interactions of one edge tie.
+    */
+  private def randomNetworks(seed: Int, count: Int, maxN: Int): Seq[(Int, Seq[Interaction])] = {
+    val rnd = new scala.util.Random(seed)
+    (0 until count).map { k =>
+      val n     = 1 + rnd.nextInt(maxN)
+      val pairs = for (a <- 0 until n; b <- 0 until n if rnd.nextDouble() < 0.45; _ <- 0 to rnd.nextInt(3)) yield (a, b)
+      val ts    = rnd.shuffle((0 until pairs.size).toVector)
+      (n, rnd.shuffle(pairs).zip(ts).zipWithIndex.map { case (((a, b), t), q) =>
+        Interaction(a, b, if (k % 2 == 0) t / 3L else t.toLong, q + 1.0)
+      })
+    }
+  }
+
+  /** The index as plain collections: vertices, every out-list and every run of `0 to n`. */
+  private def contents(adj: AdjacencyIndex, n: Int) =
+    (adj.vertices.toSeq, (0 to n).map(adj.out(_).map(adj.dst)),
+     for (a <- 0 to n; b <- 0 to n) yield adj.interactions(a, b))
+
+  test("property: the index holds each vertex's out-list and each edge's stable time-sorted run") {
+    val ser = new JavaSerializer(spark.sparkContext.getConf).newInstance()
+    var loops, ties, absent = 0
+    for ((n, inters) <- randomNetworks(seed = 5, count = 200, maxN = 6)) {
+      val adj = AdjacencyIndex.fromInteractions(inters)
+      assert(adj.vertices.toSeq === inters.flatMap(i => Seq(i.src, i.dst)).distinct.sorted)
+      for (v <- 0 to n) {
+        val out = adj.out(v).map(adj.dst)
+        assert(out === inters.filter(_.src == v).map(_.dst).distinct.sorted, s"out-list of $v in $inters")
+      }
+      for (a <- 0 to n; b <- 0 to n) {
+        val run = inters.filter(i => i.src == a && i.dst == b)
+        assert(adj.interactions(a, b) === run.sortBy(_.ts).map(i => (i.ts, i.qty)), s"run $a → $b in $inters")
+        if (run.isEmpty) absent += 1
+        if (a == b && run.nonEmpty) loops += 1
+        if (run.map(_.ts).distinct.size < run.size) ties += 1
+      }
+      for (k <- 1 to 4)
+        assert(adj.slices(k).map(_.toSeq) === (0 until k).map(i => adj.vertices.indices.filter(_ % k == i).map(adj.vertices)))
+      assert(contents(ser.deserialize[AdjacencyIndex](ser.serialize(adj)), n) === contents(adj, n))
+    }
+    assert(loops > 0 && ties > 0 && absent > 0, "the samples must contain self-loops, tied runs and absent pairs")
+  }
+
+  test("property: instance graphs are the mapped edges' interactions relabelled, chains scan as TestGraphs chains") {
+    val seen = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for ((_, inters) <- randomNetworks(seed = 8, count = 120, maxN = 7)) {
+      val adj = AdjacencyIndex.fromInteractions(inters)
+      def run(a: Int, b: Int) = inters.filter(i => i.src == a && i.dst == b)
+      for (p <- Patterns.rigid :+ Patterns.Cycle2) GraphBrowsing.enumerate(adj, p) { mu =>
+        seen(p.name) += 1
+        val g = GraphBrowsing.instanceGraph(adj, p, mu)
+        assert(g === FlowGraph(p.source, p.sink, p.edges.flatMap { case (u, w) => run(mu(u), mu(w)).map(_.copy(src = u, dst = w)) }),
+          s"${p.name} at ${mu.toSeq}")
+        if (Seq(Patterns.Cycle2, Patterns.P3, Patterns.P1).contains(p)) {
+          val (got, want) = (Greedy.run(g), Greedy.run(TestGraphs.chain(p.edges.map { case (u, w) => run(mu(u), mu(w)).map(i => (i.ts, i.qty)) })))
+          assert(got.flow === want.flow && got.sinkArrivals === want.sinkArrivals, s"${p.name} at ${mu.toSeq}")
+        }
+      }
+    }
+    assert((Patterns.rigid :+ Patterns.Cycle2).forall(p => seen(p.name) > 0), s"every pattern needs instances: $seen")
   }
 }

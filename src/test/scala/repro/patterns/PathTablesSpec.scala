@@ -3,7 +3,7 @@ package repro.patterns
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.{Greedy, Interaction}
+import repro.core.{Greedy, Interaction, TestGraphs}
 import repro.data.NetworkGen
 
 /** Tests for the precomputed path tables (Section 5.2): structure checked
@@ -54,7 +54,7 @@ class PathTablesSpec extends SparkSpec {
       assert(rows.nonEmpty)
       rows.foreach { r =>
         val vs       = path(r)
-        val expected = Greedy.chain(vs.zip(vs.tail).map { case (u, w) => adj.interactions(u, w) })
+        val expected = Greedy.run(TestGraphs.chain(vs.zip(vs.tail).map { case (u, w) => adj.interactions(u, w) }))
         val n        = r.length
         assert(math.abs(r.getDouble(n - 2) - expected.flow) < 1e-9, s"flow mismatch for $vs")
         assert(r.getSeq[Row](n - 1).map(x => (x.getLong(0), x.getDouble(1))) === expected.sinkArrivals,
